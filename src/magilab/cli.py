@@ -199,18 +199,15 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     graph = graph_of(graph_from_dict(_read_json(args.graph)))
     budget = _env_budget(args.budget)
-    pruning = not args.no_prune
     try:
         if args.b == "all":
-            feasible = search.feasible_b_set(graph, budget=budget,
-                                             use_theorem_pruning=pruning)
+            feasible = search.feasible_b_set(graph, budget=budget)
             _write(json.dumps({"feasible_b": sorted(feasible), "exhausted": True}),
                    args.out)
             return 0
         if args.b is None:
             query = search.SearchQuery(graph, magic_constant=args.k, limit=args.limit,
-                                       canonical_only=args.canonical,
-                                       use_theorem_pruning=pruning)
+                                       canonical_only=args.canonical)
             report = search.find_edge_magic(query, budget=budget)
         else:
             try:
@@ -218,8 +215,7 @@ def _cmd_search(args) -> int:
             except ValueError:
                 raise CliError(f"--b expects an integer or 'all', got {args.b!r}")
             query = search.SearchQuery(graph, b=b, magic_constant=args.k,
-                                       limit=args.limit, canonical_only=args.canonical,
-                                       use_theorem_pruning=pruning)
+                                       limit=args.limit, canonical_only=args.canonical)
             report = search.find_consecutive(query)
     except search.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
@@ -328,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="block offset, or 'all' for the feasible set; omit for edge-magic")
     p.add_argument("--k", type=int, default=None, help="restrict to one magic constant")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--no-prune", action="store_true",
-                   help="pure oracle mode: disable the neighbor-block speedup")
     p.add_argument("--canonical", action="store_true",
                    help="break label symmetry between twin vertices")
     p.add_argument("--budget", type=int, default=None,

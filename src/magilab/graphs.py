@@ -89,10 +89,14 @@ class Graph:
     def from_dict(cls, data: dict) -> "Graph":
         try:
             n = data["vertex_count"]
-            edges = tuple((int(u), int(v)) for u, v in data["edges"])
+            edges = tuple((u, v) for u, v in data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad graph record: {exc}") from exc
-        return cls(int(n), edges)
+        # Graph() itself accepts 1.9 or True as a vertex; a record must not
+        for x in (n, *(x for edge in edges for x in edge)):
+            if type(x) is not int:
+                raise GraphError(f"bad graph record: {x!r} is not an integer")
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)

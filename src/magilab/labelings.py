@@ -36,9 +36,15 @@ class TotalLabeling:
     @classmethod
     def from_dict(cls, data: dict) -> "TotalLabeling":
         try:
-            return cls(tuple(data["vertex_labels"]), tuple(data["edge_labels"]))
+            vertex_labels = tuple(data["vertex_labels"])
+            edge_labels = tuple(data["edge_labels"])
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"bad labeling record: {exc}") from exc
+        # __post_init__ would truncate 1.5 to 1 and let "a" raise ValueError
+        for x in vertex_labels + edge_labels:
+            if type(x) is not int:
+                raise LabelingError(f"bad labeling record: label {x!r} is not an integer")
+        return cls(vertex_labels, edge_labels)
 
 
 @dataclass(frozen=True)

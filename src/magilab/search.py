@@ -1,17 +1,13 @@
 """Exhaustive backtracking search for edge-magic and consecutive labelings.
 
 This module is the independent oracle the theorem suites are checked
-against, so its default mode relies only on definitional facts:
+against, so it prunes only on definitional facts, never on a theorem it
+grades:
 
 * the magic constant k forces each edge label to k - label(x) - label(y),
   which must land in the required edge block and be unused;
 * summing the magic condition over all edges pins k to a narrow integer
   window via the degree-weighted label sum, which bounds the outer k loop.
-
-The neighbor-block shortcut (all neighbors of a vertex must share a label
-block) is a theorem about consecutive labelings, not a definition, so it is
-opt-in via ``use_theorem_pruning`` and exists purely as a speedup whose
-output must match the oracle bit for bit.
 
 Searches enumerate vertex-label assignments depth first along a BFS
 placement order, so all but the first vertex close at least one edge the
@@ -46,7 +42,8 @@ class SearchQuery:
     ``b`` present means consecutive search with that block offset; absent
     means any edge-magic labeling.  ``canonical_only`` breaks label
     symmetry between twin vertices (identical neighborhoods), shrinking the
-    enumeration without changing which queries are satisfiable.
+    enumeration without changing which queries are satisfiable.  ``limit``,
+    when given, stops the search after that many labelings (at least 1).
     """
 
     graph: Graph
@@ -54,11 +51,12 @@ class SearchQuery:
     magic_constant: Optional[int] = None
     limit: Optional[int] = None
     canonical_only: bool = False
-    use_theorem_pruning: bool = False
 
     def __post_init__(self):
         if self.b is not None and not 0 <= self.b <= self.graph.vertex_count:
             raise SearchError(f"b={self.b} outside 0..{self.graph.vertex_count}")
+        if self.limit is not None and self.limit < 1:
+            raise SearchError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,12 @@ def _k_window(graph: Graph, b: Optional[int], pool: list[int], elo: int, ehi: in
 
 
 def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
-               limit: Optional[int], canonical_only: bool,
-               use_theorem_pruning: bool, store: bool):
-    """Core k-outer-loop backtracker shared by both search operations."""
+               limit: Optional[int], canonical_only: bool) -> SearchReport:
+    """Core k-outer-loop backtracker shared by every search operation."""
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
-        return [], set(), True, 0
+        return SearchReport((), frozenset(), True, 0, b)
     order, backs = _placement(graph)
     if b is None:
         pool = list(range(1, total + 1))
@@ -182,13 +179,10 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
         ks = [magic_constant] if klo <= magic_constant <= khi else []
 
     twins = _twin_rules(graph) if canonical_only else [()] * n
-    block_prune = use_theorem_pruning and b is not None and b >= 1
-    nb_block = [None] * n  # per-vertex block its placed neighbors occupy
 
     labels = [0] * n
     earr = [0] * e
     used = bytearray(total + 2)
-    adjacency = graph.adjacency
     sols: list[tuple] = []
     constants: set[int] = set()
     count = 0
@@ -200,8 +194,7 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
             if i == n:
                 count += 1
                 constants.add(k)
-                if store:
-                    sols.append((tuple(labels), tuple(earr)))
+                sols.append((tuple(labels), tuple(earr)))
                 if limit is not None and count >= limit:
                     truncated = True
                     return False
@@ -233,24 +226,7 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
                     used[el] = 1
                     earr[ei] = el
                     nf += 1
-                marked = None
-                if ok and block_prune:
-                    blk = c > b
-                    for u in adjacency[v]:
-                        state = nb_block[u]
-                        if state is None:
-                            nb_block[u] = blk
-                            if marked is None:
-                                marked = [u]
-                            else:
-                                marked.append(u)
-                        elif state != blk:
-                            ok = False
-                            break
                 proceed = place(i + 1) if ok else True
-                if marked:
-                    for u in marked:
-                        nb_block[u] = None
                 for t in range(nf):
                     used[earr[bks[t][1]]] = 0
                 labels[v] = 0
@@ -262,14 +238,9 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
         if not place(0):
             break
 
-    if store:
-        sols.sort()
-    return sols, constants, not truncated, count
-
-
-def _report(graph: Graph, sols, constants, exhausted, count, b) -> SearchReport:
+    sols.sort()
     labelings = tuple(TotalLabeling(vl, el) for vl, el in sols)
-    return SearchReport(labelings, frozenset(constants), exhausted, count, b)
+    return SearchReport(labelings, frozenset(constants), not truncated, count, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +256,8 @@ def find_consecutive(query: SearchQuery) -> SearchReport:
         raise SearchError("search requires a connected graph")
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
-    sols, constants, exhausted, count = _enumerate(
-        graph, query.b, query.magic_constant, query.limit,
-        query.canonical_only, query.use_theorem_pruning, store=True)
-    return _report(graph, sols, constants, exhausted, count, query.b)
+    return _enumerate(graph, query.b, query.magic_constant, query.limit,
+                      query.canonical_only)
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
@@ -299,29 +268,22 @@ def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchR
     if not is_connected(graph):
         raise SearchError("search requires a connected graph")
     _check_budget(graph, budget)
-    sols, constants, exhausted, count = _enumerate(
-        graph, None, query.magic_constant, query.limit,
-        query.canonical_only, query.use_theorem_pruning, store=True)
-    return _report(graph, sols, constants, exhausted, count, None)
+    return _enumerate(graph, None, query.magic_constant, query.limit,
+                      query.canonical_only)
 
 
-def feasible_b_set(graph: Graph, budget: Optional[int] = None,
-                   use_theorem_pruning: bool = False) -> set[int]:
+def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     """Every offset b for which some consecutive magic labeling exists.
 
-    Each sub-search runs to exhaustion (with twin symmetry broken, which
+    Each offset's search stops at its first witness labeling.  An offset
+    without one is searched to exhaustion (with twin symmetry broken, which
     cannot change satisfiability), so absent values are certified absent.
     """
     if not is_connected(graph):
         raise SearchError("feasible_b_set requires a connected graph")
     _check_budget(graph, budget)
-    feasible = set()
-    for b in range(graph.vertex_count + 1):
-        _, _, _, count = _enumerate(graph, b, None, None, True,
-                                    use_theorem_pruning, store=False)
-        if count:
-            feasible.add(b)
-    return feasible
+    return {b for b in range(graph.vertex_count + 1)
+            if _enumerate(graph, b, None, 1, True).solution_count}
 
 
 def count_canonical(graph: Graph, b: int,

@@ -73,14 +73,12 @@ def grid_labelings():
 
 @pytest.fixture(scope="module")
 def differential_runs():
-    """Every corpus graph swept over all offsets, with and without pruning."""
+    """Every corpus graph fully searched at every offset."""
     runs = []
     for name, handle in CORPUS9:
         g = handle.graph
         for b in range(g.vertex_count + 1):
-            plain = find_consecutive(SearchQuery(g, b=b))
-            pruned = find_consecutive(SearchQuery(g, b=b, use_theorem_pruning=True))
-            runs.append((name, g, b, plain, pruned))
+            runs.append((name, g, b, find_consecutive(SearchQuery(g, b=b))))
     return runs
 
 
@@ -129,7 +127,7 @@ def all_labelings(grid_labelings, differential_runs, double_star_runs,
     for spec, handle, beta_lab, super_lab in grid_labelings:
         rows.append((handle.graph, beta_lab))
         rows.append((handle.graph, super_lab))
-    for _, g, _, plain, _ in differential_runs:
+    for _, g, _, plain in differential_runs:
         rows.extend((g, lab) for lab in plain.labelings)
     for (m, n, b), report in double_star_runs.items():
         g = build_double_star(m, n).graph
@@ -356,13 +354,20 @@ def test_criterion_08_closing_claims():
 
 
 def test_criterion_09_oracle_independence(differential_runs):
-    """Pruned and oracle-mode searches agree bit for bit on the corpus."""
+    """The stop-at-first feasible sweep agrees with full searches on the corpus."""
     t0 = time.time()
     failures = []
-    for name, _, b, plain, pruned in differential_runs:
-        if plain != pruned:
-            failures.append(f"{name} b={b}: pruned run differs")
-    _criterion(9, f"oracle independence over {len(differential_runs)} sweeps",
+    found = {}
+    for name, g, b, plain in differential_runs:
+        offsets = found.setdefault(name, (g, set()))[1]
+        if plain.solution_count > 0:
+            offsets.add(b)
+    for name, (g, offsets) in found.items():
+        observed = feasible_b_set(g)
+        if observed != offsets:
+            failures.append(f"{name}: feasible {sorted(observed)} != "
+                            f"full-search {sorted(offsets)}")
+    _criterion(9, f"feasible sweep vs {len(differential_runs)} full searches",
                failures, t0)
 
 

@@ -99,15 +99,12 @@ def test_transform_super_rejects_wrong_offset(tmp_path, capsys):
     assert "error" in err
 
 
-def test_search_reports_match_with_and_without_pruning(tmp_path, capsys):
+def test_search_report_matches_in_process(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "double-star", "1", "2", "-o", str(gpath))
-    code, fast, _ = run(capsys, "search", "--graph", str(gpath), "--b", "2")
+    code, out, _ = run(capsys, "search", "--graph", str(gpath), "--b", "2")
     assert code == 0
-    code, plain, _ = run(capsys, "search", "--graph", str(gpath), "--b", "2", "--no-prune")
-    assert code == 0
-    assert fast == plain
-    record = json.loads(plain)
+    record = json.loads(out)
     assert record["b"] == 2 and record["exhausted"] is True
     assert record["constants"] == [14]
     # CLI output never disagrees with the in-process search
@@ -180,6 +177,39 @@ def test_bad_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "search", "--graph", str(path), "--b", "1")
     assert code == 2
     assert "cannot read JSON" in err
+
+
+def test_search_limit_below_one_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "1",
+                         "--limit", "0")
+    assert code == 2
+    assert out == "" and "limit" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"vertex_count": 2, "edges": [[0, 1.9]]},
+    {"vertex_count": 2, "edges": [[0, True]]},
+    {"vertex_count": 2.7, "edges": [[0, 1]]},
+])
+def test_search_non_integer_graph_exits_2(tmp_path, capsys, record):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(record))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 2
+    assert out == "" and "not an integer" in err
+
+
+@pytest.mark.parametrize("label", ["a", 1.5, True])
+def test_verify_non_integer_label_exits_2(tmp_path, capsys, label):
+    gpath = tmp_path / "g.json"
+    lpath = tmp_path / "lab.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    lpath.write_text(json.dumps({"vertex_labels": [label, 5, 2], "edge_labels": [4, 3]}))
+    code, out, err = run(capsys, "verify", str(gpath), str(lpath))
+    assert code == 2
+    assert out == "" and "not an integer" in err
 
 
 def test_usage_error_exits_2(capsys):

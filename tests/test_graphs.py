@@ -205,6 +205,18 @@ def test_json_round_trip_plain_graph():
     assert graph_from_dict(g.to_dict()) == g
 
 
+@pytest.mark.parametrize("record", [
+    {"vertex_count": 2, "edges": [[0, 1.9]]},
+    {"vertex_count": 2, "edges": [[0, True]]},
+    {"vertex_count": 2.7, "edges": [[0, 1]]},
+    {"vertex_count": True, "edges": []},
+    {"vertex_count": 2, "edges": [["0", 1]]},
+])
+def test_json_rejects_non_integer_vertices(record):
+    with pytest.raises(GraphError, match="not an integer"):
+        Graph.from_dict(record)
+
+
 def test_json_round_trip_family():
     handle = build_lobster(3)
     back = graph_from_dict(handle.to_dict())

@@ -148,3 +148,17 @@ def test_consecutive_index_invariant_under_automorphism():
 def test_check_total_labeling_accepts_valid():
     check_total_labeling(P3, P3_LABELING)
     check_total_labeling(P4_HANDLE.graph, P4_LABELING)
+
+
+def test_from_dict_round_trip():
+    assert TotalLabeling.from_dict(P3_LABELING.to_dict()) == P3_LABELING
+
+
+@pytest.mark.parametrize("record", [
+    {"vertex_labels": ["a", 5, 2], "edge_labels": [4, 3]},
+    {"vertex_labels": [1.5, 5, 2], "edge_labels": [4, 3]},
+    {"vertex_labels": [1, 5, 2], "edge_labels": [True, 3]},
+])
+def test_from_dict_rejects_non_integer_labels(record):
+    with pytest.raises(LabelingError, match="not an integer"):
+        TotalLabeling.from_dict(record)

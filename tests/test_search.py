@@ -66,6 +66,12 @@ def test_limit_truncates():
     assert not report.exhausted
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_rejected(limit):
+    with pytest.raises(SearchError):
+        SearchQuery(P3, b=2, limit=limit)
+
+
 def test_magic_constant_filter():
     report = find_consecutive(SearchQuery(P3, b=2, magic_constant=10))
     assert report.solution_count == 2
@@ -83,6 +89,10 @@ def test_feasible_sets():
     assert feasible_b_set(build_lobster(3).graph) == {0, 7}
     assert feasible_b_set(build_cycle(3).graph) == {0, 3}
     assert feasible_b_set(build_double_star(1, 2).graph) == {0, 2, 3, 5}
+
+
+def test_feasible_set_of_edgeless_graph_is_empty():
+    assert feasible_b_set(Graph(1, ())) == set()
 
 
 def test_feasible_set_rejects_disconnected():
@@ -127,15 +137,15 @@ def test_budget_refusal():
         feasible_b_set(build_path(4).graph, budget=5)
 
 
-def test_differential_pruning_identical():
+def test_feasible_set_matches_full_searches():
+    # feasible_b_set stops at the first witness; full searches count them all
     handles = [build_path(4), build_star(3), build_cycle(4), build_cycle(5),
                build_double_star(1, 2), build_lobster(2)]
     for handle in handles:
         g = handle.graph
-        for b in range(g.vertex_count + 1):
-            plain = find_consecutive(SearchQuery(g, b=b))
-            pruned = find_consecutive(SearchQuery(g, b=b, use_theorem_pruning=True))
-            assert plain == pruned
+        full = {b for b in range(g.vertex_count + 1)
+                if find_consecutive(SearchQuery(g, b=b)).solution_count > 0}
+        assert feasible_b_set(g) == full
 
 
 def test_output_deterministic_and_sorted():
