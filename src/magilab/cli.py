@@ -201,6 +201,12 @@ def _cmd_search(args) -> int:
     budget = _env_budget(args.budget)
     try:
         if args.b == "all":
+            given = [flag for flag, value in (("--k", args.k), ("--limit", args.limit))
+                     if value is not None]
+            if args.canonical:
+                given.append("--canonical")
+            if given:
+                raise CliError(f"{', '.join(given)} cannot be used with --b all")
             feasible = search.feasible_b_set(graph, budget=budget)
             _write(json.dumps({"feasible_b": sorted(feasible), "exhausted": True}),
                    args.out)
@@ -216,7 +222,7 @@ def _cmd_search(args) -> int:
                 raise CliError(f"--b expects an integer or 'all', got {args.b!r}")
             query = search.SearchQuery(graph, b=b, magic_constant=args.k,
                                        limit=args.limit, canonical_only=args.canonical)
-            report = search.find_consecutive(query)
+            report = search.find_consecutive(query, budget=budget)
     except search.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 1

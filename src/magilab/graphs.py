@@ -370,14 +370,30 @@ def bipartition_of(graph: Graph) -> Optional[Bipartition]:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+def _int_param(family: dict, key: str) -> int:
+    value = family[key]
+    # build_lobster(True) would quietly build L_1
+    if type(value) is not int:
+        raise GraphError(f"bad family descriptor: {key}={value!r} is not an integer")
+    return value
+
+
+def _caterpillar_from(family: dict) -> FamilyHandle:
+    counts = family["leaf_counts"]
+    if not isinstance(counts, (list, tuple)) or any(type(c) is not int for c in counts):
+        raise GraphError(f"bad family descriptor: leaf_counts={counts!r} is not a list of integers")
+    return build_caterpillar(CaterpillarSpec(len(counts), tuple(counts)))
+
+
 _FAMILY_BUILDERS = {
-    "caterpillar": lambda f: build_caterpillar(CaterpillarSpec(len(f["leaf_counts"]), tuple(f["leaf_counts"]))),
-    "double_star": lambda f: build_double_star(f["m"], f["n"]),
-    "lobster": lambda f: build_lobster(f["p"]),
-    "cycle": lambda f: build_cycle(f["length"]),
-    "path": lambda f: build_path(f["n"]),
-    "star": lambda f: build_star(f["p"]),
-    "complete_bipartite": lambda f: build_complete_bipartite(f["m"], f["n"]),
+    "caterpillar": _caterpillar_from,
+    "double_star": lambda f: build_double_star(_int_param(f, "m"), _int_param(f, "n")),
+    "lobster": lambda f: build_lobster(_int_param(f, "p")),
+    "cycle": lambda f: build_cycle(_int_param(f, "length")),
+    "path": lambda f: build_path(_int_param(f, "n")),
+    "star": lambda f: build_star(_int_param(f, "p")),
+    "complete_bipartite": lambda f: build_complete_bipartite(_int_param(f, "m"),
+                                                             _int_param(f, "n")),
 }
 
 

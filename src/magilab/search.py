@@ -2,12 +2,20 @@
 
 This module is the independent oracle the theorem suites are checked
 against, so it prunes only on definitional facts, never on a theorem it
-grades:
+grades.  There is one engine per question.
 
-* the magic constant k forces each edge label to k - label(x) - label(y),
-  which must land in the required edge block and be unused;
-* summing the magic condition over all edges pins k to a narrow integer
-  window via the degree-weighted label sum, which bounds the outer k loop.
+Consecutive searches (offset b given) run a sum-window DFS with no loop
+over the magic constant k.  Edge labels k - f(u) - f(v) are exactly the
+block {b+1 .. b+|E|} if and only if the |E| vertex sums f(u) + f(v) are
+distinct and span |E| - 1; then k = min sum + b + |E|.  (This generalizes
+to every b the super edge-magic lemma of Figueroa-Centeno, Ichishima and
+Muntaner-Batle, Discrete Math. 231, 2001.)  Summing the magic condition
+over all edges bounds k through the degree-weighted label sum; that window
+becomes a range of admissible sums, and every sum outside it is marked
+used before the search starts.
+
+Edge-magic searches (no offset) keep an outer loop over that k window:
+each k forces every edge label to k - f(u) - f(v), which must be unused.
 
 Searches enumerate vertex-label assignments depth first along a BFS
 placement order, so all but the first vertex close at least one edge the
@@ -24,7 +32,7 @@ from typing import Optional
 from .graphs import Graph, is_connected
 from .labelings import TotalLabeling, VertexLabeling
 
-DEFAULT_BUDGET = 22  # maximum |V|+|E| a full b-sweep or edge-magic sweep will accept
+DEFAULT_BUDGET = 22  # maximum |V|+|E| a search accepts unless given a larger budget
 
 
 class SearchError(ValueError):
@@ -43,7 +51,8 @@ class SearchQuery:
     means any edge-magic labeling.  ``canonical_only`` breaks label
     symmetry between twin vertices (identical neighborhoods), shrinking the
     enumeration without changing which queries are satisfiable.  ``limit``,
-    when given, stops the search after that many labelings (at least 1).
+    when given, stops the search after that many labelings (at least 1):
+    the first ones in search order, which need not have the lowest k.
     """
 
     graph: Graph
@@ -159,21 +168,150 @@ def _k_window(graph: Graph, b: Optional[int], pool: list[int], elo: int, ehi: in
     return klo, khi
 
 
-def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
-               limit: Optional[int], canonical_only: bool) -> SearchReport:
-    """Core k-outer-loop backtracker shared by every search operation."""
+def _report(sols: list, constants, count: int, truncated: bool, b: Optional[int]) -> SearchReport:
+    """Package raw (vertex labels, edge labels) solutions, sorted by vertex labels."""
+    sols.sort()
+    labelings = tuple(TotalLabeling(vl, el) for vl, el in sols)
+    return SearchReport(labelings, frozenset(constants), not truncated, count, b)
+
+
+def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
+                           limit: Optional[int], canonical_only: bool) -> SearchReport:
+    """Sum-window DFS: every consecutive labeling at offset b, with no loop over k.
+
+    Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
+    never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
+    and the running (lo, hi) of the sums must keep hi - lo < |E|.  At a leaf
+    the |E| distinct sums then span exactly |E| - 1, which forces
+    k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}.  Sums no
+    constant in the degree-sum window (or the pinned constant) allows are
+    marked used before the search starts.
+    """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
-        return SearchReport((), frozenset(), True, 0, b)
+        return _report([], (), 0, False, b)
+    pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
+    klo, khi = _k_window(graph, b, pool, b + 1, b + e)
+    if magic_constant is not None:
+        klo, khi = max(klo, magic_constant), min(khi, magic_constant)
+    if klo > khi:
+        return _report([], (), 0, False, b)
     order, backs = _placement(graph)
-    if b is None:
-        pool = list(range(1, total + 1))
-        elo, ehi = 1, total
-    else:
-        pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
-        elo, ehi = b + 1, b + e
-    klo, khi = _k_window(graph, b, pool, elo, ehi)
+    twins = _twin_rules(graph) if canonical_only else [()] * n
+
+    # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi;
+    # every other sum starts out used
+    top = pool[-1] + pool[-2]
+    slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
+    used_sum = bytearray(b"\x01") * (top + 1)
+    used_sum[slo:shi + 1] = bytes(shi - slo + 1)
+
+    # every vertex after the root closes at least one edge; most close exactly one
+    first = [bks[0] if bks else None for bks in backs]
+    rest = [bks[1:] for bks in backs]
+    labels = [0] * n
+    sums = [0] * e
+    used = bytearray(total + 1)
+    base = b + e
+    sols: list[tuple] = []
+    constants: set[int] = set()
+    count = 0
+    truncated = False
+
+    def place(i, lo, hi):
+        nonlocal count, truncated
+        if i == n:
+            k = lo + base
+            count += 1
+            constants.add(k)
+            sols.append((tuple(labels), tuple([k - s for s in sums])))
+            if limit is not None and count >= limit:
+                truncated = True
+                return False
+            return True
+        v = order[i]
+        u0, e0 = first[i]
+        lu0 = labels[u0]
+        more = rest[i]
+        tw = twins[v]
+        for c in pool:
+            if used[c]:
+                continue
+            if tw:
+                bad = False
+                for u, u_first in tw:
+                    lu = labels[u]
+                    if lu and ((lu > c) if u_first else (lu < c)):
+                        bad = True
+                        break
+                if bad:
+                    continue
+            s = c + lu0
+            if used_sum[s]:
+                continue
+            nlo = s if s < lo else lo
+            nhi = s if s > hi else hi
+            if nhi - nlo >= e:
+                continue
+            used_sum[s] = 1
+            sums[e0] = s
+            nf = 0
+            for u, ei in more:
+                t = c + labels[u]
+                if used_sum[t]:
+                    break
+                if t < nlo:
+                    nlo = t
+                if t > nhi:
+                    nhi = t
+                if nhi - nlo >= e:
+                    break
+                used_sum[t] = 1
+                sums[ei] = t
+                nf += 1
+            else:
+                used[c] = 1
+                labels[v] = c
+                proceed = place(i + 1, nlo, nhi)
+                labels[v] = 0
+                used[c] = 0
+                if not proceed:
+                    return False  # the search is over; its scratch is dropped
+            used_sum[s] = 0
+            if nf:
+                for t in range(nf):
+                    used_sum[sums[more[t][1]]] = 0
+        return True
+
+    # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
+    # is the empty sum range
+    root = order[0]
+    for c in pool:
+        used[c] = 1
+        labels[root] = c
+        if not place(1, top + 1, -1):
+            break
+        used[c] = 0
+    return _report(sols, constants, count, truncated, b)
+
+
+def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
+                          limit: Optional[int], canonical_only: bool) -> SearchReport:
+    """k-outer-loop DFS: every edge-magic labeling, one pass per candidate k.
+
+    Labels come from all of 1..|V|+|E| and edge labels form no block, so the
+    sums carry no window.  Each k in the degree-sum window (or the pinned
+    constant) gets its own DFS, in which placing a vertex forces each closed
+    edge's label to k - f(u) - f(v), which must be in range and unused.
+    """
+    n, e = graph.vertex_count, graph.edge_count
+    total = n + e
+    if e == 0:
+        return _report([], (), 0, False, None)
+    order, backs = _placement(graph)
+    pool = list(range(1, total + 1))
+    klo, khi = _k_window(graph, None, pool, 1, total)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
@@ -220,7 +358,7 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
                 ok = True
                 for u, ei in bks:
                     el = k - c - labels[u]
-                    if el < elo or el > ehi or used[el]:
+                    if el < 1 or el > total or used[el]:
                         ok = False
                         break
                     used[el] = 1
@@ -238,17 +376,19 @@ def _enumerate(graph: Graph, b: Optional[int], magic_constant: Optional[int],
         if not place(0):
             break
 
-    sols.sort()
-    labelings = tuple(TotalLabeling(vl, el) for vl, el in sols)
-    return SearchReport(labelings, frozenset(constants), not truncated, count, b)
+    return _report(sols, constants, count, truncated, None)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def find_consecutive(query: SearchQuery) -> SearchReport:
-    """All labelings with edge-label block {b+1 .. b+|E|} and constant sums."""
+def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
+    """All labelings with edge-label block {b+1 .. b+|E|} and constant sums.
+
+    Graphs needing more labels than ``budget`` (default ``DEFAULT_BUDGET``)
+    are refused with :class:`BudgetExceeded`.
+    """
     graph = query.graph
     if query.b is None:
         raise SearchError("find_consecutive needs b; use find_edge_magic for open searches")
@@ -256,8 +396,9 @@ def find_consecutive(query: SearchQuery) -> SearchReport:
         raise SearchError("search requires a connected graph")
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
-    return _enumerate(graph, query.b, query.magic_constant, query.limit,
-                      query.canonical_only)
+    _check_budget(graph, budget)
+    return _enumerate_consecutive(graph, query.b, query.magic_constant, query.limit,
+                                  query.canonical_only)
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
@@ -268,8 +409,8 @@ def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchR
     if not is_connected(graph):
         raise SearchError("search requires a connected graph")
     _check_budget(graph, budget)
-    return _enumerate(graph, None, query.magic_constant, query.limit,
-                      query.canonical_only)
+    return _enumerate_edge_magic(graph, query.magic_constant, query.limit,
+                                 query.canonical_only)
 
 
 def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
@@ -283,7 +424,7 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
         raise SearchError("feasible_b_set requires a connected graph")
     _check_budget(graph, budget)
     return {b for b in range(graph.vertex_count + 1)
-            if _enumerate(graph, b, None, 1, True).solution_count}
+            if _enumerate_consecutive(graph, b, None, 1, True).solution_count}
 
 
 def count_canonical(graph: Graph, b: int,

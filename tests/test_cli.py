@@ -201,6 +201,48 @@ def test_search_non_integer_graph_exits_2(tmp_path, capsys, record):
     assert out == "" and "not an integer" in err
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--limit", "0"], "--limit"),
+    (["--limit", "3"], "--limit"),
+    (["--k", "99"], "--k"),
+    (["--canonical"], "--canonical"),
+    (["--k", "9", "--canonical"], "--k, --canonical"),
+])
+def test_search_all_rejects_single_offset_flags(tmp_path, capsys, flags, named):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all", *flags)
+    assert code == 2
+    assert out == "" and f"{named} cannot be used with --b all" in err
+
+
+def test_search_family_with_boolean_parameter_exits_2(tmp_path, capsys):
+    record = build_lobster(1).to_dict()
+    record["family"]["p"] = True
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(record))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 2
+    assert out == "" and "not an integer" in err
+
+
+def test_search_single_offset_budget(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "lobster", "-p", "3", "-o", str(gpath))  # 13 labels
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "7",
+                         "--budget", "12")
+    assert code == 1
+    assert out == "" and "budget exceeded" in err
+    monkeypatch.setenv("MAGILAB_BUDGET", "12")
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "7")
+    assert code == 1
+    assert out == "" and "budget exceeded" in err
+    code, out, _ = run(capsys, "search", "--graph", str(gpath), "--b", "7",
+                       "--budget", "13")
+    assert code == 0
+    assert json.loads(out)["count"] > 0
+
+
 @pytest.mark.parametrize("label", ["a", 1.5, True])
 def test_verify_non_integer_label_exits_2(tmp_path, capsys, label):
     gpath = tmp_path / "g.json"

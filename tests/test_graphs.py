@@ -232,6 +232,30 @@ def test_json_family_mismatch_rejected():
         graph_from_dict(record)
 
 
+def _family_record(handle, **changes):
+    record = handle.to_dict()
+    record["family"].update(changes)
+    return record
+
+
+@pytest.mark.parametrize("record", [
+    _family_record(build_lobster(1), p=True),
+    _family_record(build_lobster(1), p=1.0),
+    _family_record(build_path(2), n=True),
+    _family_record(build_cycle(3), length=3.0),
+    _family_record(build_star(1), p=True),
+    _family_record(build_double_star(1, 1), m=True),
+    _family_record(build_complete_bipartite(1, 2), n="2"),
+    _family_record(build_caterpillar(CaterpillarSpec(2, (1, 1))), leaf_counts=[1, True]),
+    _family_record(build_caterpillar(CaterpillarSpec(2, (1, 1))), leaf_counts="11"),
+], ids=["lobster-p-bool", "lobster-p-float", "path-n-bool", "cycle-length-float",
+        "star-p-bool", "double-star-m-bool", "kmn-n-str", "caterpillar-count-bool",
+        "caterpillar-counts-str"])
+def test_json_family_rejects_non_integer_parameters(record):
+    with pytest.raises(GraphError, match="not an integer|not a list of integers"):
+        graph_from_dict(record)
+
+
 def test_bipartition_requires_vertex_zero_in_x():
     with pytest.raises(GraphError):
         Bipartition(frozenset({1}), frozenset({0}))

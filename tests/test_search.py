@@ -148,6 +148,59 @@ def test_feasible_set_matches_full_searches():
         assert feasible_b_set(g) == full
 
 
+def test_find_consecutive_budget():
+    l3 = build_lobster(3).graph  # 13 labels
+    with pytest.raises(BudgetExceeded):
+        find_consecutive(SearchQuery(l3, b=7), budget=12)
+    assert find_consecutive(SearchQuery(l3, b=7), budget=13).solution_count
+    big = build_caterpillar(CaterpillarSpec(6, (2, 2, 2, 2, 2, 2))).graph
+    with pytest.raises(BudgetExceeded):
+        find_consecutive(SearchQuery(big, b=0, limit=1))
+
+
+# Graphs small enough to enumerate every edge-magic labeling (<= 13 labels).
+CROSS_ENGINE = [build_path(4), build_path(5), build_cycle(5), build_star(3),
+                build_complete_bipartite(2, 2), build_double_star(1, 2),
+                build_lobster(2), build_caterpillar(CaterpillarSpec(3, (1, 0, 1)))]
+_CROSS_IDS = ["P4", "P5", "C5", "K1,3", "K2,2", "DS1,2", "L2", "CS1,0,1"]
+
+
+@pytest.mark.parametrize("handle", CROSS_ENGINE, ids=_CROSS_IDS)
+def test_sum_window_engine_matches_k_loop_engine(handle):
+    """The consecutive engine against the edge-magic engine, grouped by offset."""
+    g = handle.graph
+    e = g.edge_count
+    by_offset = {b: set() for b in range(g.vertex_count + 1)}
+    every = find_edge_magic(SearchQuery(g))
+    assert every.exhausted and every.labelings
+    for lab in every.labelings:
+        lo = min(lab.edge_labels)
+        if sorted(lab.edge_labels) == list(range(lo, lo + e)):
+            by_offset[lo - 1].add(lab)
+    got = {b: set(find_consecutive(SearchQuery(g, b)).labelings) for b in by_offset}
+    assert got == by_offset
+
+
+@pytest.mark.parametrize("handle", CROSS_ENGINE, ids=_CROSS_IDS)
+def test_pinned_constant_and_limit_agree_with_full_search(handle):
+    g = handle.graph
+    for b in range(g.vertex_count + 1):
+        full = find_consecutive(SearchQuery(g, b))
+        for k in sorted(full.constants_found):
+            pinned = find_consecutive(SearchQuery(g, b, magic_constant=k))
+            assert pinned.exhausted and pinned.constants_found <= {k}
+            assert set(pinned.labelings) == {lab for lab in full.labelings
+                                             if magic_constant_of(g, lab) == k}
+        for k in (0, 3 * g.label_count):  # outside every degree-sum window
+            pinned = find_consecutive(SearchQuery(g, b, magic_constant=k))
+            assert pinned.exhausted and pinned.labelings == () and pinned.solution_count == 0
+        for limit in (1, 2, 3):
+            part = find_consecutive(SearchQuery(g, b, limit=limit))
+            assert part.solution_count == min(limit, full.solution_count)
+            assert set(part.labelings) <= set(full.labelings)
+            assert part.exhausted == (full.solution_count < limit)
+
+
 def test_output_deterministic_and_sorted():
     report = find_consecutive(SearchQuery(build_star(3).graph, b=3))
     vectors = [lab.vertex_labels for lab in report.labelings]
