@@ -17,7 +17,7 @@ from .graphs import (CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
                      build_complete_bipartite, build_cycle, build_double_star,
                      build_lobster, is_connected)
 from .search import (BudgetExceeded, SearchError, SearchQuery, compute_automorphisms,
-                     count_canonical, feasible_b_set, find_consecutive,
+                     count_orbits, feasible_b_set, find_consecutive,
                      find_edge_magic, find_graceful)
 
 PASS = "pass"
@@ -62,6 +62,8 @@ class ConstantFormWitness:
 def _jsonable(value):
     if isinstance(value, (set, frozenset)):
         return sorted(value)
+    if isinstance(value, tuple):  # the double-star rows hold (orbits, constants)
+        return [_jsonable(v) for v in value]
     return value
 
 
@@ -324,14 +326,15 @@ def double_star_suite(budget: Optional[int] = None) -> list[TheoremReport]:
         for b, expected_k in sorted(offsets.items()):
             desc = f"S_{m},{n} at b={b}"
             try:
-                orbits = count_canonical(handle.graph, b, auts)
                 report = find_consecutive(SearchQuery(handle.graph, b=b,
-                                                      canonical_only=True))
+                                                      canonical_only=True),
+                                          budget=budget)
             except BudgetExceeded as exc:
                 reports.append(TheoremReport("double-star-uniqueness", desc,
                                              (2, {expected_k}), "not run",
                                              OUT_OF_BUDGET, str(exc)))
                 continue
+            orbits = count_orbits(handle.graph, report.labelings, auts)
             observed = (orbits, set(report.constants_found))
             reports.append(TheoremReport(
                 "double-star-uniqueness", desc, (2, {expected_k}), observed,

@@ -29,14 +29,19 @@ class CliError(Exception):
 
 def _env_budget(explicit: Optional[int]) -> Optional[int]:
     if explicit is not None:
+        if explicit < 1:
+            raise CliError(f"--budget must be at least 1, got {explicit}")
         return explicit
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise CliError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
+    if budget < 1:
+        raise CliError(f"{_BUDGET_ENV} must be at least 1, got {raw!r}")
+    return budget
 
 
 def _parse_spine(text: str) -> CaterpillarSpec:
@@ -238,6 +243,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_suite(args) -> int:
     budget = _env_budget(args.budget)
+    if args.max_labels < 3:  # P2, the smallest caterpillar, needs 3 labels
+        raise CliError(f"--max-labels must be at least 3, got {args.max_labels}")
     if args.suite == "closing":
         reports = analysis.closing_claims_suite(budget=budget)
     elif args.suite == "caterpillar":

@@ -11,11 +11,19 @@ distinct and span |E| - 1; then k = min sum + b + |E|.  (This generalizes
 to every b the super edge-magic lemma of Figueroa-Centeno, Ichishima and
 Muntaner-Batle, Discrete Math. 231, 2001.)  Summing the magic condition
 over all edges bounds k through the degree-weighted label sum; that window
-becomes a range of admissible sums, and every sum outside it is marked
-used before the search starts.
+becomes a range of admissible sums, and no sum outside it is ever free.
 
 Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
+
+Both engines keep their DFS state in Python ints used as bit sets (the
+free labels, and the free sums or a mirrored copy of the free labels),
+passed down the recursion, so backtracking undoes nothing.  A vertex's
+candidate labels are one mask, visited lowest first.  Both prune with one
+forward check: a vertex keeps a label only if enough free labels remain
+for the children it has in the placement tree.  That rests on labels (and
+sums) being distinct, which is the definition itself, so the check grades
+nothing.
 
 Searches enumerate vertex-label assignments depth first along a BFS
 placement order, so all but the first vertex close at least one edge the
@@ -125,18 +133,39 @@ def _placement(graph: Graph):
     return order, backs
 
 
-def _twin_rules(graph: Graph):
-    """Per-vertex ordering constraints between vertices with equal neighborhoods."""
+def _plan(graph: Graph, canonical_only: bool):
+    """Placement order as per-position steps for the bitmask engines.
+
+    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, kids)``: the
+    vertex placed at position i, its first closed edge (earlier vertex u0,
+    edge index e0; ``None`` for the root), its other closed edges, and its
+    twin bounds.  With ``canonical_only``, twins (equal neighborhoods) take
+    labels in ascending vertex order; since the twins placed earlier already
+    obey that order, only the nearest one on each side of v bounds its label
+    from below (``below``) or above (``above``).  Where a side has no such
+    twin it names a sentinel slot of the labels list, ``n`` (label 0) or
+    ``n + 1`` (a label above every label), and ``twin`` is False when
+    neither side has one.  ``kids`` counts the later vertices whose first
+    closed edge meets v, the children of v in the placement tree.
+    """
+    n = graph.vertex_count
+    order, backs = _placement(graph)
+    pos = {v: i for i, v in enumerate(order)}
+    kids = [0] * n
+    for bks in backs[1:]:
+        kids[bks[0][0]] += 1
     groups: dict[frozenset, list[int]] = {}
-    for v in range(graph.vertex_count):
-        groups.setdefault(frozenset(graph.adjacency[v]), []).append(v)
-    rules = [[] for _ in range(graph.vertex_count)]
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for v in members:
-            rules[v] = [(u, u < v) for u in members if u != v]
-    return [tuple(r) for r in rules]
+    if canonical_only:
+        for v in range(n):
+            groups.setdefault(frozenset(graph.adjacency[v]), []).append(v)
+    steps = []
+    for i, v in enumerate(order):
+        earlier = [u for u in groups.get(frozenset(graph.adjacency[v]), ()) if pos[u] < i]
+        below = max((u for u in earlier if u < v), default=n)
+        above = min((u for u in earlier if u > v), default=n + 1)
+        u0, e0 = backs[i][0] if backs[i] else (None, None)
+        steps.append((v, u0, e0, backs[i][1:], bool(earlier), below, above, kids[v]))
+    return steps
 
 
 def _k_window(graph: Graph, b: Optional[int], pool: list[int], elo: int, ehi: int):
@@ -183,9 +212,23 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
     and the running (lo, hi) of the sums must keep hi - lo < |E|.  At a leaf
     the |E| distinct sums then span exactly |E| - 1, which forces
-    k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}.  Sums no
-    constant in the degree-sum window (or the pinned constant) allows are
-    marked used before the search starts.
+    k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}.
+
+    The DFS state is two ints passed down the recursion with (lo, hi), so
+    nothing is undone on backtracking.  Bit c of ``free`` is set while
+    label c is unused.  Bit s of ``fsum`` is set while sum s is unused,
+    allowed by some constant in the degree-sum window (or the pinned one),
+    and within |E| - 1 of every sum so far; that last condition is applied
+    again after each placement.  A vertex whose first closed edge meets a
+    vertex labelled lu0 may then take exactly the labels
+    ``free & (fsum >> lu0)``, visited lowest first; its other closed edges
+    are checked one by one.
+
+    Forward check: each kid of v (see ``_plan``) will need its own free
+    label whose sum with v's label is still in ``fsum``, so a label for v
+    that leaves fewer such labels than v has kids is dropped.  The check
+    uses only that labels and sums are distinct and the sum window, never
+    a theorem the search grades.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
@@ -197,102 +240,83 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
         return _report([], (), 0, False, b)
-    order, backs = _placement(graph)
-    twins = _twin_rules(graph) if canonical_only else [()] * n
+    steps = _plan(graph, canonical_only)
 
-    # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi;
-    # every other sum starts out used
+    # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top = pool[-1] + pool[-2]
     slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
-    used_sum = bytearray(b"\x01") * (top + 1)
-    used_sum[slo:shi + 1] = bytes(shi - slo + 1)
+    free0 = sum(1 << c for c in pool)
+    fsum0 = (2 << shi) - (1 << slo)
 
-    # every vertex after the root closes at least one edge; most close exactly one
-    first = [bks[0] if bks else None for bks in backs]
-    rest = [bks[1:] for bks in backs]
-    labels = [0] * n
+    labels = [0] * n + [0, total + 1]  # two sentinel slots, see _plan
     sums = [0] * e
-    used = bytearray(total + 1)
+    span = e - 1
+    span2 = 2 * span
     base = b + e
     sols: list[tuple] = []
     constants: set[int] = set()
     count = 0
     truncated = False
 
-    def place(i, lo, hi):
+    def place(i, free, fsum, lo, hi):
         nonlocal count, truncated
         if i == n:
             k = lo + base
             count += 1
             constants.add(k)
-            sols.append((tuple(labels), tuple([k - s for s in sums])))
+            sols.append((tuple(labels[:n]), tuple([k - s for s in sums])))
             if limit is not None and count >= limit:
                 truncated = True
                 return False
             return True
-        v = order[i]
-        u0, e0 = first[i]
+        v, u0, e0, more, twin, below, above, kids = steps[i]
         lu0 = labels[u0]
-        more = rest[i]
-        tw = twins[v]
-        for c in pool:
-            if used[c]:
-                continue
-            if tw:
-                bad = False
-                for u, u_first in tw:
-                    lu = labels[u]
-                    if lu and ((lu > c) if u_first else (lu < c)):
-                        bad = True
-                        break
-                if bad:
-                    continue
+        cand = free & (fsum >> lu0)
+        if twin:
+            cand &= -(2 << labels[below]) & ((1 << labels[above]) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
             s = c + lu0
-            if used_sum[s]:
-                continue
             nlo = s if s < lo else lo
             nhi = s if s > hi else hi
-            if nhi - nlo >= e:
-                continue
-            used_sum[s] = 1
+            nfsum = fsum ^ (1 << s)
             sums[e0] = s
-            nf = 0
             for u, ei in more:
                 t = c + labels[u]
-                if used_sum[t]:
+                if not nfsum >> t & 1:
                     break
                 if t < nlo:
                     nlo = t
                 if t > nhi:
                     nhi = t
-                if nhi - nlo >= e:
+                if nhi - nlo > span:
                     break
-                used_sum[t] = 1
+                nfsum ^= 1 << t
                 sums[ei] = t
-                nf += 1
             else:
-                used[c] = 1
+                # keep only the sums within span of both nlo and nhi (the mask is
+                # built shifted up by span, so no shift count goes negative)
+                nfsum &= ((2 << (nlo + span2)) - (1 << nhi)) >> span
+                nfree = free ^ low
+                if kids and (nfree & (nfsum >> c)).bit_count() < kids:
+                    continue
                 labels[v] = c
-                proceed = place(i + 1, nlo, nhi)
-                labels[v] = 0
-                used[c] = 0
-                if not proceed:
-                    return False  # the search is over; its scratch is dropped
-            used_sum[s] = 0
-            if nf:
-                for t in range(nf):
-                    used_sum[sums[more[t][1]]] = 0
+                if not place(i + 1, nfree, nfsum, nlo, nhi):
+                    return False  # the search is over
         return True
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root = order[0]
+    root, _, _, _, _, _, _, kids = steps[0]
     for c in pool:
-        used[c] = 1
+        free = free0 ^ (1 << c)
+        if (free & (fsum0 >> c)).bit_count() < kids:
+            continue
         labels[root] = c
-        if not place(1, top + 1, -1):
+        if not place(1, free, fsum0, top + 1, -1):
             break
-        used[c] = 0
     return _report(sols, constants, count, truncated, b)
 
 
@@ -304,76 +328,100 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     sums carry no window.  Each k in the degree-sum window (or the pinned
     constant) gets its own DFS, in which placing a vertex forces each closed
     edge's label to k - f(u) - f(v), which must be in range and unused.
+
+    The DFS state is two ints passed down the recursion, so nothing is
+    undone on backtracking.  Bit x of ``free`` is set while label x is
+    unused, and ``rfree`` mirrors it, with bit |V|+|E|+1-x set while x is
+    unused.  Shifting ``rfree`` lines "label k - c - lu0 is free" up with
+    bit c, so a vertex whose first closed edge meets a vertex labelled lu0
+    may take exactly the labels ``free & (rfree >> (|V|+|E|+1-k+lu0))``,
+    less the one label equal to its own edge label, visited lowest first.
+    Its other closed edges are checked one by one.
+
+    Forward check: each kid w of v (see ``_plan``) will need a label x with
+    x and its edge label k - c - x both free.  Both values lie in that
+    symmetric set, and all 2 * kids values of v's kids are distinct, so a
+    label c for v that leaves fewer than 2 * kids of them is dropped.  Like
+    the consecutive engine's check, it uses only that labels are distinct.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
         return _report([], (), 0, False, None)
-    order, backs = _placement(graph)
     pool = list(range(1, total + 1))
     klo, khi = _k_window(graph, None, pool, 1, total)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
+    steps = _plan(graph, canonical_only)
 
-    twins = _twin_rules(graph) if canonical_only else [()] * n
-
-    labels = [0] * n
+    # bits 1..total: every label free, in both orientations
+    free0 = rfree0 = (2 << total) - 2
+    mirror = total + 1
+    labels = [0] * n + [0, mirror]  # two sentinel slots, see _plan
     earr = [0] * e
-    used = bytearray(total + 2)
     sols: list[tuple] = []
     constants: set[int] = set()
     count = 0
     truncated = False
 
-    for k in ks:
-        def place(i, k=k):
-            nonlocal count, truncated
-            if i == n:
-                count += 1
-                constants.add(k)
-                sols.append((tuple(labels), tuple(earr)))
-                if limit is not None and count >= limit:
-                    truncated = True
-                    return False
-                return True
-            v = order[i]
-            bks = backs[i]
-            tw = twins[v]
-            for c in pool:
-                if used[c]:
-                    continue
-                if tw:
-                    bad = False
-                    for u, u_first in tw:
-                        lu = labels[u]
-                        if lu and ((lu > c) if u_first else (lu < c)):
-                            bad = True
-                            break
-                    if bad:
-                        continue
-                used[c] = 1
-                labels[v] = c
-                nf = 0
-                ok = True
-                for u, ei in bks:
-                    el = k - c - labels[u]
-                    if el < 1 or el > total or used[el]:
-                        ok = False
-                        break
-                    used[el] = 1
-                    earr[ei] = el
-                    nf += 1
-                proceed = place(i + 1) if ok else True
-                for t in range(nf):
-                    used[earr[bks[t][1]]] = 0
-                labels[v] = 0
-                used[c] = 0
-                if not proceed:
-                    return False
+    def place(i, free, rfree):
+        nonlocal count, truncated
+        if i == n:
+            count += 1
+            constants.add(k)
+            sols.append((tuple(labels[:n]), tuple(earr)))
+            if limit is not None and count >= limit:
+                truncated = True
+                return False
             return True
+        v, u0, e0, more, twin, below, above, kids = steps[i]
+        s = k - labels[u0]  # c plus the forced edge label
+        sh = mirror - s
+        cand = free & (rfree >> sh if sh >= 0 else rfree << -sh)
+        if cand and not s & 1:
+            cand &= ~(1 << (s >> 1))  # the edge label would equal c
+        if twin:
+            cand &= -(2 << labels[below]) & ((1 << labels[above]) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            el = s - c
+            nfree = free ^ low ^ (1 << el)
+            nrfree = rfree ^ (1 << (mirror - c)) ^ (1 << (mirror - el))
+            earr[e0] = el
+            for u, ei in more:
+                x = k - c - labels[u]
+                if x < 1 or not nfree >> x & 1:  # free has no bit above |V|+|E|
+                    break
+                nfree ^= 1 << x
+                nrfree ^= 1 << (mirror - x)
+                earr[ei] = x
+            else:
+                if kids:
+                    sh = mirror - k + c
+                    room = nfree & (nrfree >> sh if sh >= 0 else nrfree << -sh)
+                    if room.bit_count() < 2 * kids:
+                        continue
+                labels[v] = c
+                if not place(i + 1, nfree, nrfree):
+                    return False
+        return True
 
-        if not place(0):
+    root, _, _, _, _, _, _, kids = steps[0]
+    for k in ks:
+        for c in pool:
+            free = free0 ^ (1 << c)
+            rfree = rfree0 ^ (1 << (mirror - c))
+            sh = mirror - k + c
+            room = free & (rfree >> sh if sh >= 0 else rfree << -sh)
+            if room.bit_count() < 2 * kids:
+                continue
+            labels[root] = c
+            if not place(1, free, rfree):
+                break
+        if truncated:
             break
 
     return _report(sols, constants, count, truncated, None)
@@ -427,15 +475,23 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
             if _enumerate_consecutive(graph, b, None, 1, True).solution_count}
 
 
-def count_canonical(graph: Graph, b: int,
-                    automorphisms: Optional[tuple] = None) -> int:
-    """Number of labeling orbits under the graph's automorphism group."""
+def count_canonical(graph: Graph, b: int, automorphisms: Optional[tuple] = None,
+                    budget: Optional[int] = None) -> int:
+    """Number of labeling orbits under the graph's automorphism group.
+
+    ``budget`` caps the graph's label count as in :func:`find_consecutive`.
+    """
+    report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True), budget)
+    return count_orbits(graph, report.labelings, automorphisms)
+
+
+def count_orbits(graph: Graph, labelings, automorphisms: Optional[tuple] = None) -> int:
+    """Number of orbits the automorphism group splits ``labelings`` into."""
     if automorphisms is None:
         automorphisms = compute_automorphisms(graph)
-    report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True))
     n = graph.vertex_count
     orbit_reps = set()
-    for lab in report.labelings:
+    for lab in labelings:
         vl = lab.vertex_labels
         orbit_reps.add(min(tuple(vl[perm[i]] for i in range(n)) for perm in automorphisms))
     return len(orbit_reps)

@@ -293,3 +293,41 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t"] == 6
+
+
+def test_suite_double_star_budget_covers_every_row(capsys):
+    # the smallest double star, S_1,1, needs 7 labels
+    code, out, _ = run(capsys, "suite", "double-star", "--budget", "5", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 9
+    assert all(row["verdict"] == "out-of-budget" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [("suite", "lobster"), ("search", "--b", "all")])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_exits_2(tmp_path, capsys, monkeypatch, argv, budget):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    extra = ("--graph", str(gpath)) if argv[0] == "search" else ()
+    code, out, err = run(capsys, *argv, *extra, "--budget", budget)
+    assert code == 2
+    assert out == "" and f"--budget must be at least 1, got {budget}" in err
+    monkeypatch.setenv("MAGILAB_BUDGET", budget)
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert out == "" and f"MAGILAB_BUDGET must be at least 1, got '{budget}'" in err
+
+
+@pytest.mark.parametrize("max_labels", ["2", "0", "-3"])
+def test_suite_max_labels_below_three_exits_2(capsys, max_labels):
+    code, out, err = run(capsys, "suite", "caterpillar", "--max-labels", max_labels)
+    assert code == 2
+    assert out == "" and f"--max-labels must be at least 3, got {max_labels}" in err
+
+
+def test_suite_smallest_max_labels_checks_p2(capsys):
+    code, out, _ = run(capsys, "suite", "caterpillar", "--max-labels", "3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 1 and rows[0]["verdict"] == "pass"

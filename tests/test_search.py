@@ -1,6 +1,10 @@
 """The exhaustive search oracle: enumeration, symmetry, budgets."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magilab.constructions import dual
 from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
@@ -274,8 +278,6 @@ def test_find_graceful_exhaustive_count_matches_limit():
 
 def _brute_force_consecutive(graph, b):
     """Reference enumerator: try every pool permutation and edge arrangement."""
-    from itertools import permutations
-
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
@@ -315,3 +317,93 @@ def test_search_report_json_round_trip():
     assert record["constants"] == [10]
     back = [TotalLabeling.from_dict(d) for d in record["labelings"]]
     assert tuple(back) == report.labelings
+
+
+def _brute_force_edge_magic(graph):
+    """Reference enumerator: every injective vertex assignment and every k.
+
+    An assignment and k are accepted when the forced edge labels
+    k - f(u) - f(v) are distinct and fill the labels the vertices left.
+    """
+    n, total = graph.vertex_count, graph.label_count
+    found = set()
+    for vl in permutations(range(1, total + 1), n):
+        rest = sorted(set(range(1, total + 1)) - set(vl))
+        for k in range(3, 3 * total + 1):
+            el = tuple(k - vl[u] - vl[v] for u, v in graph.edges)
+            if sorted(el) == rest:
+                found.add((vl, el, k))
+    return found
+
+
+@pytest.mark.parametrize("handle", [
+    build_path(2), build_path(3), build_path(4), build_star(3),
+    build_cycle(3), build_cycle(4), build_double_star(1, 1),
+], ids=["P2", "P3", "P4", "K1,3", "C3", "C4", "DS1,1"])
+def test_edge_magic_engine_matches_brute_force(handle):
+    g = handle.graph
+    assert g.label_count <= 8
+    report = find_edge_magic(SearchQuery(g))
+    expected = _brute_force_edge_magic(g)
+    assert report.exhausted and report.solution_count == len(expected)
+    assert {(lab.vertex_labels, lab.edge_labels) for lab in report.labelings} == \
+        {(vl, el) for vl, el, _ in expected}
+    assert report.constants_found == {k for _, _, k in expected}
+
+
+def _twin_pairs(graph):
+    """(u, v) with u < v for every two vertices with equal neighborhoods."""
+    adj = [frozenset(a) for a in graph.adjacency]
+    n = graph.vertex_count
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] == adj[v]]
+
+
+# L_2 is the path P5, which has no twins; L_1 (P3) stands in for the lobsters
+TWIN_GRAPHS = [build_star(3), build_complete_bipartite(2, 2),
+               build_complete_bipartite(2, 3), build_double_star(2, 2), build_lobster(1)]
+
+
+@pytest.mark.parametrize("handle", TWIN_GRAPHS, ids=["K1,3", "K2,2", "K2,3", "DS2,2", "L1"])
+def test_canonical_only_keeps_twins_in_index_order(handle):
+    """canonical_only drops exactly the labelings with a twin pair out of order."""
+    g = handle.graph
+    pairs = _twin_pairs(g)
+    assert pairs
+
+    def ordered(report):
+        return [lab for lab in report.labelings
+                if all(lab.vertex_labels[u] < lab.vertex_labels[v] for u, v in pairs)]
+
+    for b in range(g.vertex_count + 1):
+        full = find_consecutive(SearchQuery(g, b))
+        canon = find_consecutive(SearchQuery(g, b, canonical_only=True))
+        assert list(canon.labelings) == ordered(full)
+    full = find_edge_magic(SearchQuery(g))
+    canon = find_edge_magic(SearchQuery(g, canonical_only=True))
+    assert full.labelings and list(canon.labelings) == ordered(full)
+
+
+@st.composite
+def _small_connected_graphs(draw):
+    """A random tree plus up to two extra edges, at most 9 labels, randomly numbered."""
+    n = draw(st.integers(2, 5))
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[i], perm[draw(st.integers(0, i - 1))]))) for i in range(1, n)}
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    room = min(2, 9 - (2 * n - 1), len(absent))
+    extra = draw(st.lists(st.sampled_from(absent), max_size=room, unique=True)) if room else []
+    return Graph(n, tuple(edges) + tuple(extra))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_connected_graphs())
+def test_consecutive_engine_matches_brute_force_on_random_graphs(g):
+    assert g.label_count <= 9
+    feasible = set()
+    for b in range(g.vertex_count + 1):
+        report = find_consecutive(SearchQuery(g, b=b))
+        got = {(lab.vertex_labels, lab.edge_labels) for lab in report.labelings}
+        assert got == _brute_force_consecutive(g, b)
+        if got:
+            feasible.add(b)
+    assert feasible_b_set(g) == feasible
