@@ -14,8 +14,7 @@ from .constructions import (ConstructionError, LambdaStarCase,
                             lambda_star_case, to_graceful, to_super_edge_magic)
 from .search import (DEFAULT_BUDGET, BudgetExceeded, SearchError, SearchQuery,
                      SearchReport, compute_automorphisms, count_canonical,
-                     count_orbits, feasible_b_set, find_consecutive, find_edge_magic,
-                     find_graceful)
+                     feasible_b_set, find_consecutive, find_edge_magic, find_graceful)
 from .analysis import (ConstantFormWitness, TheoremReport, caterpillar_b_set,
                        caterpillar_suite, classify_trichotomy, closing_claims_suite,
                        constant_form_check, double_star_suite, format_report_table,

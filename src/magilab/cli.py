@@ -243,11 +243,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_suite(args) -> int:
     budget = _env_budget(args.budget)
-    if args.max_labels < 3:  # P2, the smallest caterpillar, needs 3 labels
-        raise CliError(f"--max-labels must be at least 3, got {args.max_labels}")
     if args.suite == "closing":
         reports = analysis.closing_claims_suite(budget=budget)
     elif args.suite == "caterpillar":
+        if args.max_labels < 3:  # P2, the smallest caterpillar, needs 3 labels
+            raise CliError(f"--max-labels must be at least 3, got {args.max_labels}")
         reports = analysis.caterpillar_suite(max_labels=args.max_labels, budget=budget)
     elif args.suite == "lobster":
         reports = analysis.lobster_suite(budget=budget)

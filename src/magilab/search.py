@@ -475,13 +475,10 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
             if _enumerate_consecutive(graph, b, None, 1, True).solution_count}
 
 
-def count_canonical(graph: Graph, b: int, automorphisms: Optional[tuple] = None,
-                    budget: Optional[int] = None) -> int:
-    """Number of labeling orbits under the graph's automorphism group.
-
-    ``budget`` caps the graph's label count as in :func:`find_consecutive`.
-    """
-    report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True), budget)
+def count_canonical(graph: Graph, b: int,
+                    automorphisms: Optional[tuple] = None) -> int:
+    """Number of labeling orbits under the graph's automorphism group."""
+    report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True))
     return count_orbits(graph, report.labelings, automorphisms)
 
 

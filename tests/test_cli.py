@@ -326,6 +326,14 @@ def test_suite_max_labels_below_three_exits_2(capsys, max_labels):
     assert out == "" and f"--max-labels must be at least 3, got {max_labels}" in err
 
 
+@pytest.mark.parametrize("suite", ["closing", "lobster"])
+def test_suite_max_labels_ignored_outside_caterpillar(capsys, suite):
+    code, out, _ = run(capsys, "suite", suite, "--format", "json")
+    assert code == 0
+    code, capped, _ = run(capsys, "suite", suite, "--max-labels", "2", "--format", "json")
+    assert code == 0 and capped == out
+
+
 def test_suite_smallest_max_labels_checks_p2(capsys):
     code, out, _ = run(capsys, "suite", "caterpillar", "--max-labels", "3", "--format", "json")
     assert code == 0

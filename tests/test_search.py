@@ -3,8 +3,6 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from magilab.constructions import dual
 from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
@@ -381,29 +379,3 @@ def test_canonical_only_keeps_twins_in_index_order(handle):
     full = find_edge_magic(SearchQuery(g))
     canon = find_edge_magic(SearchQuery(g, canonical_only=True))
     assert full.labelings and list(canon.labelings) == ordered(full)
-
-
-@st.composite
-def _small_connected_graphs(draw):
-    """A random tree plus up to two extra edges, at most 9 labels, randomly numbered."""
-    n = draw(st.integers(2, 5))
-    perm = draw(st.permutations(range(n)))
-    edges = {tuple(sorted((perm[i], perm[draw(st.integers(0, i - 1))]))) for i in range(1, n)}
-    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    room = min(2, 9 - (2 * n - 1), len(absent))
-    extra = draw(st.lists(st.sampled_from(absent), max_size=room, unique=True)) if room else []
-    return Graph(n, tuple(edges) + tuple(extra))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_small_connected_graphs())
-def test_consecutive_engine_matches_brute_force_on_random_graphs(g):
-    assert g.label_count <= 9
-    feasible = set()
-    for b in range(g.vertex_count + 1):
-        report = find_consecutive(SearchQuery(g, b=b))
-        got = {(lab.vertex_labels, lab.edge_labels) for lab in report.labelings}
-        assert got == _brute_force_consecutive(g, b)
-        if got:
-            feasible.add(b)
-    assert feasible_b_set(g) == feasible
