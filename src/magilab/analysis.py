@@ -264,14 +264,25 @@ def _tree_certificate(graph: Graph) -> str:
     return min(encode(c, -1) for c in centers)
 
 
+class SuiteLimitError(ValueError):
+    """A suite limit so small that the suite would check nothing."""
+
+
+def _require_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise SuiteLimitError(f"{name} must be at least {least}, got {value}")
+
+
 def caterpillar_suite(max_labels: int = 19,
                       budget: Optional[int] = None) -> list[TheoremReport]:
     """Both directions of the caterpillar feasibility characterization.
 
     Every caterpillar spec with |V|+|E| <= max_labels is checked; specs
     describing isomorphic trees share one exhaustive search, and each
-    spelling's predicted set must match it.
+    spelling's predicted set must match it.  A cap below 3, the label
+    count of P2, the smallest caterpillar, would check nothing and raises.
     """
+    _require_at_least("max_labels", max_labels, 3)
     max_vertices = (max_labels + 1) // 2
     groups: dict[str, list[CaterpillarSpec]] = {}
     handles: dict[str, Graph] = {}
@@ -299,7 +310,11 @@ def caterpillar_suite(max_labels: int = 19,
 
 
 def lobster_suite(max_p: int = 4, budget: Optional[int] = None) -> list[TheoremReport]:
-    """Feasible offsets for L_1..L_max_p plus the gracefulness of L_4."""
+    """Feasible offsets for L_1..L_max_p plus the gracefulness of L_4.
+
+    ``max_p`` below 1 would check nothing and raises.
+    """
+    _require_at_least("max_p", max_p, 1)
     reports = []
     for p in range(1, max_p + 1):
         handle = build_lobster(p)

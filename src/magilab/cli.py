@@ -9,6 +9,7 @@ report, or budget refusal, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,9 +247,10 @@ def _cmd_suite(args) -> int:
     if args.suite == "closing":
         reports = analysis.closing_claims_suite(budget=budget)
     elif args.suite == "caterpillar":
-        if args.max_labels < 3:  # P2, the smallest caterpillar, needs 3 labels
-            raise CliError(f"--max-labels must be at least 3, got {args.max_labels}")
-        reports = analysis.caterpillar_suite(max_labels=args.max_labels, budget=budget)
+        try:
+            reports = analysis.caterpillar_suite(max_labels=args.max_labels, budget=budget)
+        except analysis.SuiteLimitError as exc:  # reworded to name the flag
+            raise CliError(str(exc).replace("max_labels", "--max-labels"))
     elif args.suite == "lobster":
         reports = analysis.lobster_suite(budget=budget)
     else:  # double-star
@@ -265,7 +267,9 @@ def _cmd_suite(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="magilab",
         description="Consecutive edge-magic labelings: generate, construct, "

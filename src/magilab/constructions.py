@@ -13,9 +13,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of,
+from .graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, bipartition_of,
                      build_caterpillar, build_double_star, is_connected)
-from .labelings import TotalLabeling, VertexLabeling, consecutive_index_of, magic_constant_of
+from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
 
 
 class ConstructionError(ValueError):
@@ -42,7 +42,11 @@ def caterpillar_beta_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     high label block; the rest take the low block; edge labels descend along
     the spine so that every edge sums to 2*alpha + 4*beta.
     """
-    handle = build_caterpillar(spec)
+    return _beta_labeling(spec, build_caterpillar(spec))
+
+
+def _beta_labeling(spec: CaterpillarSpec, handle: FamilyHandle) -> TotalLabeling:
+    """The beta-offset labeling on ``handle``, the caterpillar built from ``spec``."""
     graph = handle.graph
     names = handle.name_map
     r = spec.spine_length
@@ -134,7 +138,7 @@ def caterpillar_super_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     down next to the low block and pushing the edge block above both.
     """
     handle = build_caterpillar(spec)
-    lam = caterpillar_beta_labeling(spec)
+    lam = _beta_labeling(spec, handle)
     alpha, beta = spec.alpha, spec.beta
     side_x = handle.bipartition.side_x
     vl = [lam.vertex_labels[v] - (alpha + beta - 1) if v in side_x
@@ -171,7 +175,7 @@ def _block_structure(graph: Graph, labeling: TotalLabeling):
     k = magic_constant_of(graph, labeling)
     if k is None:
         raise ConstructionError("input labeling is not edge-magic")
-    b = consecutive_index_of(graph, labeling)
+    b = _offset_of(graph, labeling, k)
     if b is None:
         raise ConstructionError("input labeling is not consecutive edge-magic")
     vl = labeling.vertex_labels
@@ -217,7 +221,9 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     Case b=0 or b=|V|: both vertex blocks and the edge block are reflected
     within themselves.  Case b=|side|: the low side reflects inside {1..b},
     the high side inside its block, and the edges inside theirs.  Each case
-    is an involution and shifts the magic constant by a fixed amount.
+    is an involution and reflects the magic constant: k goes to
+    2|V|+5|E|+3-k when b=0, to 4|V|+|E|+3-k when b=|V|, and to
+    5b+(|V|-b)+3|E|+3-k when b is a side's size.
     """
     n, e = graph.vertex_count, graph.edge_count
     b, _, small = _block_structure(graph, labeling)

@@ -18,6 +18,13 @@ class LabelingError(ValueError):
     """Labeling does not fit the graph it is paired with."""
 
 
+def _require_int_labels(labels: tuple) -> None:
+    """Reject every label that is not exactly an int: no 1.5, "a" or True."""
+    if set(map(type, labels)) - {int}:
+        bad = next(x for x in labels if type(x) is not int)
+        raise LabelingError(f"bad labeling record: label {bad!r} is not an integer")
+
+
 @dataclass(frozen=True, order=True)
 class TotalLabeling:
     """Vertex labels by vertex index, edge labels by canonical edge order."""
@@ -26,8 +33,11 @@ class TotalLabeling:
     edge_labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", tuple(int(x) for x in self.vertex_labels))
-        object.__setattr__(self, "edge_labels", tuple(int(x) for x in self.edge_labels))
+        vl = tuple(self.vertex_labels)
+        el = tuple(self.edge_labels)
+        _require_int_labels(vl + el)
+        object.__setattr__(self, "vertex_labels", vl)
+        object.__setattr__(self, "edge_labels", el)
 
     def to_dict(self) -> dict:
         return {"vertex_labels": list(self.vertex_labels),
@@ -40,10 +50,6 @@ class TotalLabeling:
             edge_labels = tuple(data["edge_labels"])
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"bad labeling record: {exc}") from exc
-        # __post_init__ would truncate 1.5 to 1 and let "a" raise ValueError
-        for x in vertex_labels + edge_labels:
-            if type(x) is not int:
-                raise LabelingError(f"bad labeling record: label {x!r} is not an integer")
         return cls(vertex_labels, edge_labels)
 
 
@@ -54,7 +60,9 @@ class VertexLabeling:
     vertex_labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", tuple(int(x) for x in self.vertex_labels))
+        vl = tuple(self.vertex_labels)
+        _require_int_labels(vl)
+        object.__setattr__(self, "vertex_labels", vl)
 
     def to_dict(self) -> dict:
         return {"vertex_labels": list(self.vertex_labels)}
@@ -125,10 +133,16 @@ def consecutive_index_of(graph: Graph, labeling: TotalLabeling) -> Optional[int]
     Only reported for edge-magic labelings; a contiguous edge block without
     the magic property would be a misleading positive.
     """
-    if graph.edge_count == 0:
-        check_total_labeling(graph, labeling)
-        return None
-    if magic_constant_of(graph, labeling) is None:
+    return _offset_of(graph, labeling, magic_constant_of(graph, labeling))
+
+
+def _offset_of(graph: Graph, labeling: TotalLabeling, k: Optional[int]) -> Optional[int]:
+    """The block offset of a checked labeling whose common edge sum is ``k``.
+
+    ``k`` is what :func:`magic_constant_of` returned for it; None (not
+    edge-magic, or no edges) gives None.
+    """
+    if k is None:
         return None
     lo = min(labeling.edge_labels)
     hi = max(labeling.edge_labels)
@@ -190,7 +204,7 @@ def classify(graph: Graph, labeling: TotalLabeling,
     it is only set for bipartite graphs with b equal to one side's size.
     """
     k = magic_constant_of(graph, labeling)
-    b = consecutive_index_of(graph, labeling)
+    b = _offset_of(graph, labeling, k)
     is_super = b is not None and b == graph.vertex_count and graph.vertex_count > 0
     side = None
     if b is not None and 0 < b < graph.vertex_count:

@@ -105,6 +105,16 @@ def test_caterpillar_suite_small():
     assert all(r.verdict == PASS for r in reports)
 
 
+@pytest.mark.parametrize("suite,kwargs,named", [
+    (caterpillar_suite, {"max_labels": 2}, "max_labels must be at least 3, got 2"),
+    (caterpillar_suite, {"max_labels": -5}, "max_labels must be at least 3, got -5"),
+    (lobster_suite, {"max_p": 0}, "max_p must be at least 1, got 0"),
+])
+def test_suite_limit_below_range_raises(suite, kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        suite(**kwargs)
+
+
 def test_feasible_subset_of_predicted():
     handles = [build_path(4), build_cycle(5), build_cycle(6),
                build_double_star(1, 2), build_lobster(2),

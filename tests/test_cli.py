@@ -339,3 +339,43 @@ def test_suite_smallest_max_labels_checks_p2(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["verdict"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: back-to-back calls share no state
+# ---------------------------------------------------------------------------
+
+def test_usage_error_then_construct_matches_construct_alone(capsys):
+    argv = ("construct", "caterpillar-beta", "--spine", "2,1")
+    _, alone, _ = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "caterpillar-beta"])  # --spine missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, after_error, err = run(capsys, *argv)
+    assert code == 0 and err == "" and after_error == alone
+
+
+def test_search_flags_do_not_leak_into_the_next_call(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "double-star", "1", "2", "-o", str(gpath))
+    single = ("search", "--graph", str(gpath), "--b", "2", "--limit", "1")
+    every = ("search", "--graph", str(gpath), "--b", "all")
+    _, single_alone, _ = run(capsys, *single)
+    _, every_alone, _ = run(capsys, *every)
+    for first, second, expected in ((single, every, every_alone),
+                                    (every, single, single_alone)):
+        run(capsys, *first)
+        code, out, err = run(capsys, *second)
+        assert code == 0 and err == "" and out == expected
+
+
+def test_budget_env_read_after_parser_is_built(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "lobster", "-p", "3", "-o", str(gpath))  # 13 labels
+    code, _, _ = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 0
+    monkeypatch.setenv("MAGILAB_BUDGET", "5")
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 1
+    assert out == "" and "budget exceeded" in err

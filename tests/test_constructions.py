@@ -12,8 +12,8 @@ from magilab.constructions import (ConstructionError, LambdaStarCase,
                                    to_super_edge_magic)
 from magilab.graphs import (CaterpillarSpec, build_caterpillar,
                             build_double_star, build_path)
-from magilab.labelings import (TotalLabeling, check_total_labeling, classify,
-                               is_graceful)
+from magilab.labelings import (LabelingError, TotalLabeling, check_total_labeling,
+                               classify, consecutive_index_of, is_graceful)
 from magilab.search import SearchQuery, find_consecutive
 
 
@@ -183,6 +183,70 @@ def test_lambda_star_rejects_non_consecutive():
     p3 = build_path(3).graph
     with pytest.raises(ConstructionError):
         lambda_star(p3, TotalLabeling((1, 2, 3), (4, 5)))
+
+
+# ---------------------------------------------------------------------------
+# dual and lambda_star over every small caterpillar
+# ---------------------------------------------------------------------------
+
+def _small_caterpillar_labelings():
+    """Both closed forms and their duals (b = |Y|, |X|, |V|, 0) for r <= 4, leaves 0..2."""
+    for r in range(1, 5):
+        for counts in product(range(3), repeat=r):
+            spec, handle = _cat(r, counts)
+            g = handle.graph
+            if g.edge_count == 0:
+                continue
+            for lam in (caterpillar_beta_labeling(spec), caterpillar_super_labeling(spec)):
+                for labeling in (lam, dual(g, lam)):
+                    yield counts, handle, labeling
+
+
+def _kb(graph, labeling):
+    got = classify(graph, labeling)
+    return got.magic_constant, got.consecutive_index
+
+
+def test_dual_is_an_involution_that_reflects_k_and_b():
+    for counts, handle, labeling in _small_caterpillar_labelings():
+        g = handle.graph
+        n, e = g.vertex_count, g.edge_count
+        k, b = _kb(g, labeling)
+        d = dual(g, labeling)
+        assert dual(g, d) == labeling, counts
+        assert _kb(g, d) == (3 * (n + e + 1) - k, n - b), counts
+
+
+def test_lambda_star_is_an_involution_that_keeps_b_and_reflects_k():
+    cases = set()
+    for counts, handle, labeling in _small_caterpillar_labelings():
+        g, bip = handle.graph, handle.bipartition
+        n, e = g.vertex_count, g.edge_count
+        k, b = _kb(g, labeling)
+        cases.add(lambda_star_case(g, labeling, bip))
+        star = lambda_star(g, labeling, bip)
+        assert lambda_star(g, star, bip) == labeling, counts
+        if b == 0:
+            reflected = 2 * n + 5 * e + 3 - k
+        elif b == n:
+            reflected = 4 * n + e + 3 - k
+        else:
+            assert b in bip.sizes, counts
+            reflected = 5 * b + (n - b) + 3 * e + 3 - k
+        assert _kb(g, star) == (reflected, b), counts
+    assert cases == set(LambdaStarCase)
+
+
+@pytest.mark.parametrize("labeling", [
+    TotalLabeling((6, 1, 2), (5, 4, 3)),      # one vertex label short
+    TotalLabeling((6, 1, 2, 8), (5, 4, 3)),   # 8 outside 1..7
+    TotalLabeling((6, 1, 2, 6), (5, 4, 3)),   # 6 used twice
+])
+def test_checks_still_reject_malformed_labelings(labeling):
+    g = build_caterpillar(CaterpillarSpec(2, (1, 1))).graph
+    for check in (classify, consecutive_index_of, dual, lambda_star):
+        with pytest.raises(LabelingError):
+            check(g, labeling)
 
 
 # ---------------------------------------------------------------------------

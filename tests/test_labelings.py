@@ -40,6 +40,8 @@ def test_edgeless_graph_has_no_constant():
     g = Graph(1, ())
     assert magic_constant_of(g, TotalLabeling((1,), ())) is None
     assert consecutive_index_of(g, TotalLabeling((1,), ())) is None
+    got = classify(g, TotalLabeling((1,), ()))
+    assert got.magic_constant is None and got.consecutive_index is None
 
 
 def test_consecutive_index_examples():
@@ -162,3 +164,22 @@ def test_from_dict_round_trip():
 def test_from_dict_rejects_non_integer_labels(record):
     with pytest.raises(LabelingError, match="not an integer"):
         TotalLabeling.from_dict(record)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TotalLabeling((1.5,), ()),
+    lambda: TotalLabeling((1, 2), ("3",)),
+    lambda: TotalLabeling((1, 2), (True,)),
+    lambda: VertexLabeling((True,)),
+    lambda: VertexLabeling((0, 2.0, 1)),
+])
+def test_constructors_reject_non_integer_labels(make):
+    with pytest.raises(LabelingError, match="is not an integer"):
+        make()
+
+
+def test_constructors_keep_int_labels_as_tuples():
+    lab = TotalLabeling([1, 5, 2], [4, 3])
+    assert lab == P3_LABELING and type(lab.vertex_labels) is tuple
+    assert VertexLabeling([0, 2, 1]).vertex_labels == (0, 2, 1)
+    assert TotalLabeling((1,), ()).edge_labels == ()
