@@ -156,14 +156,27 @@ def classify_trichotomy(graph: Graph, bipartition, feasible: set[int],
                          detail=f"feasible={sorted(feasible)}")
 
 
-def _feasible_report(theorem: str, desc: str, graph: Graph, predicted: set[int],
-                     budget: Optional[int]) -> TheoremReport:
+def _row(theorem: str, desc: str, predicted, check) -> TheoremReport:
+    """One report row from ``check()``, which returns (observed, verdict, detail).
+
+    ``check`` runs at once, so it may read its caller's loop variables.  A
+    search inside it refused by the label budget makes the row "not run"
+    with verdict out-of-budget, carrying the refusal message.
+    """
     try:
-        observed = feasible_b_set(graph, budget=budget)
+        observed, verdict, detail = check()
     except BudgetExceeded as exc:
         return TheoremReport(theorem, desc, predicted, "not run", OUT_OF_BUDGET, str(exc))
-    return TheoremReport(theorem, desc, predicted, observed,
-                         _verdict(predicted, observed))
+    return TheoremReport(theorem, desc, predicted, observed, verdict, detail)
+
+
+def _feasible_report(theorem: str, desc: str, graph: Graph, predicted: set[int],
+                     budget: Optional[int]) -> TheoremReport:
+    """Row grading the searched feasible offsets against ``predicted``."""
+    def check():
+        observed = feasible_b_set(graph, budget=budget)
+        return observed, _verdict(predicted, observed), ""
+    return _row(theorem, desc, predicted, check)
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +198,19 @@ def closing_claims_suite(budget: Optional[int] = None) -> list[TheoremReport]:
         reports.append(_feasible_report("odd-cycle", f"C_{length}", g,
                                         {0, length}, budget))
     for length in (4, 6):
-        g = build_cycle(length).graph
-        try:
-            observed = feasible_b_set(g, budget=budget)
-        except BudgetExceeded as exc:
-            reports.append(TheoremReport("even-cycle", f"C_{length}",
-                                         True, "not run", OUT_OF_BUDGET, str(exc)))
-            continue
-        consistent = (0 in observed) == (length in observed)
-        reports.append(TheoremReport(
-            "even-cycle", f"C_{length}", True, consistent,
-            _verdict(True, consistent),
-            detail=f"feasible={sorted(observed)}; even-cycle existence claim "
-                   f"treated as suspected typo, checking 0-feasible iff |V|-feasible"))
+        def even_check():
+            observed = feasible_b_set(build_cycle(length).graph, budget=budget)
+            consistent = (0 in observed) == (length in observed)
+            return (consistent, _verdict(True, consistent),
+                    f"feasible={sorted(observed)}; even-cycle existence claim "
+                    f"treated as suspected typo, checking 0-feasible iff |V|-feasible")
+        reports.append(_row("even-cycle", f"C_{length}", True, even_check))
     for n in (1, 2, 3, 4):
-        g = build_complete_bipartite(1, n).graph
-        try:
-            observed = feasible_b_set(g, budget=budget)
-        except BudgetExceeded as exc:
-            reports.append(TheoremReport("complete-bipartite", f"K_1,{n}",
-                                         "nonempty", "not run", OUT_OF_BUDGET, str(exc)))
-            continue
-        reports.append(TheoremReport(
-            "complete-bipartite", f"K_1,{n}", "nonempty",
-            "nonempty" if observed else "empty",
-            PASS if observed else FAIL,
-            detail=f"feasible={sorted(observed)}"))
+        def star_check():
+            observed = feasible_b_set(build_complete_bipartite(1, n).graph, budget=budget)
+            return ("nonempty" if observed else "empty", PASS if observed else FAIL,
+                    f"feasible={sorted(observed)}")
+        reports.append(_row("complete-bipartite", f"K_1,{n}", "nonempty", star_check))
     for m, n in ((2, 2), (2, 3), (3, 3)):
         g = build_complete_bipartite(m, n).graph
         reports.append(_feasible_report("complete-bipartite", f"K_{m},{n}",
@@ -321,13 +321,13 @@ def lobster_suite(max_p: int = 4, budget: Optional[int] = None) -> list[TheoremR
         reports.append(_feasible_report("lobster-feasible", f"L_{p}",
                                         handle.graph, lobster_b_set(p), budget))
     if max_p >= 4:
-        g4 = build_lobster(4).graph
-        found = find_graceful(g4, limit=1)
-        reports.append(TheoremReport(
-            "lobster-graceful", "L_4", "graceful labeling exists",
-            "found" if found else "none",
-            PASS if found else FAIL,
-            detail=f"vertex labels {list(found[0].vertex_labels)}" if found else ""))
+        def graceful_check():
+            found = find_graceful(build_lobster(4).graph, limit=1, budget=budget)
+            if not found:
+                return "none", FAIL, ""
+            return "found", PASS, f"vertex labels {list(found[0].vertex_labels)}"
+        reports.append(_row("lobster-graceful", "L_4", "graceful labeling exists",
+                            graceful_check))
     return reports
 
 
@@ -339,41 +339,28 @@ def double_star_suite(budget: Optional[int] = None) -> list[TheoremReport]:
         auts = compute_automorphisms(handle.graph)
         offsets = {m + 1: 4 * m + 2 * n + 6, n + 1: 2 * m + 4 * n + 6}
         for b, expected_k in sorted(offsets.items()):
-            desc = f"S_{m},{n} at b={b}"
-            try:
-                report = find_consecutive(SearchQuery(handle.graph, b=b,
-                                                      canonical_only=True),
+            predicted = (2, {expected_k})
+
+            def unique_check():
+                report = find_consecutive(SearchQuery(handle.graph, b=b, canonical_only=True),
                                           budget=budget)
-            except BudgetExceeded as exc:
-                reports.append(TheoremReport("double-star-uniqueness", desc,
-                                             (2, {expected_k}), "not run",
-                                             OUT_OF_BUDGET, str(exc)))
-                continue
-            orbits = count_orbits(handle.graph, report.labelings, auts)
-            observed = (orbits, set(report.constants_found))
-            reports.append(TheoremReport(
-                "double-star-uniqueness", desc, (2, {expected_k}), observed,
-                _verdict((2, {expected_k}), observed),
-                detail=f"{report.solution_count} raw labelings"))
+                observed = (count_orbits(handle.graph, report.labelings, auts),
+                            set(report.constants_found))
+                return (observed, _verdict(predicted, observed),
+                        f"{report.solution_count} raw labelings")
+            reports.append(_row("double-star-uniqueness", f"S_{m},{n} at b={b}",
+                                predicted, unique_check))
     for m, n in ((2, 2), (2, 4), (3, 3)):
-        handle = build_double_star(m, n)
-        desc = f"S_{m},{n}"
-        try:
-            report = find_edge_magic(SearchQuery(handle.graph, canonical_only=True),
-                                     budget=budget)
-        except BudgetExceeded as exc:
-            reports.append(TheoremReport("double-star-constant-form", desc,
-                                         "all constants of form gcd*t+6",
-                                         "not run", OUT_OF_BUDGET, str(exc)))
-            continue
-        missing = [k for k in sorted(report.constants_found)
-                   if constant_form_check(m, n, k).t is None]
-        reports.append(TheoremReport(
-            "double-star-constant-form", desc,
-            "all constants of form gcd*t+6",
-            "all expressible" if not missing else f"inexpressible: {missing}",
-            PASS if not missing else FAIL,
-            detail=f"constants={sorted(report.constants_found)}"))
+        def form_check():
+            graph = build_double_star(m, n).graph
+            report = find_edge_magic(SearchQuery(graph, canonical_only=True), budget=budget)
+            missing = [k for k in sorted(report.constants_found)
+                       if constant_form_check(m, n, k).t is None]
+            return ("all expressible" if not missing else f"inexpressible: {missing}",
+                    PASS if not missing else FAIL,
+                    f"constants={sorted(report.constants_found)}")
+        reports.append(_row("double-star-constant-form", f"S_{m},{n}",
+                            "all constants of form gcd*t+6", form_check))
     return reports
 
 

@@ -375,10 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, LabelingError, search.SearchError) as exc:
+    except (CliError, GraphError, LabelingError, search.SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, bipartition_of,
-                     build_caterpillar, build_double_star, is_connected)
+from .graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
+                     build_double_star, is_connected)
 from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
 
 
@@ -42,11 +42,7 @@ def caterpillar_beta_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     high label block; the rest take the low block; edge labels descend along
     the spine so that every edge sums to 2*alpha + 4*beta.
     """
-    return _beta_labeling(spec, build_caterpillar(spec))
-
-
-def _beta_labeling(spec: CaterpillarSpec, handle: FamilyHandle) -> TotalLabeling:
-    """The beta-offset labeling on ``handle``, the caterpillar built from ``spec``."""
+    handle = build_caterpillar(spec)
     graph = handle.graph
     names = handle.name_map
     r = spec.spine_length
@@ -135,15 +131,12 @@ def caterpillar_super_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     """Super edge-magic labeling of a caterpillar, constant 2*alpha+3*beta+1.
 
     Obtained from the beta-offset labeling by sliding the high vertex block
-    down next to the low block and pushing the edge block above both.
+    (side X, the labels above beta) down next to the low block and pushing
+    the edge block above both.
     """
-    handle = build_caterpillar(spec)
-    lam = _beta_labeling(spec, handle)
+    lam = caterpillar_beta_labeling(spec)
     alpha, beta = spec.alpha, spec.beta
-    side_x = handle.bipartition.side_x
-    vl = [lam.vertex_labels[v] - (alpha + beta - 1) if v in side_x
-          else lam.vertex_labels[v]
-          for v in range(handle.graph.vertex_count)]
+    vl = [x - (alpha + beta - 1) if x > beta else x for x in lam.vertex_labels]
     el = [x + alpha for x in lam.edge_labels]
     return TotalLabeling(tuple(vl), tuple(el))
 

@@ -283,6 +283,22 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
             nhi = s if s > hi else hi
             nfsum = fsum ^ (1 << s)
             sums[e0] = s
+            # These later closed edges need no span check of their own.  Each
+            # new sum passed the fsum test, so it lies within span of every
+            # earlier sum, and only two new sums c + l(u), c + l(u') can be
+            # more than span apart: then |l(u) - l(u')| >= |E|.  A second
+            # closed edge means a cycle, so |E| >= |V| and the two labels sit
+            # in different blocks: p = l(u) <= b and q = l(u') > b + |E|.
+            # Take c <= b (c > b is the same argument on complemented labels).
+            # Every earlier sum then lies in [c+q-span, c+p+span], inside
+            # [c+b+2, c+b+|E|-1]:
+            # no placed edge joins two high labels, both ends of a low-low
+            # edge are >= c+2, and the low end of a low-high edge is <= c-2.
+            # So the placed vertices split, with no edge across, into the low
+            # vertices on low-low edges and the rest.  Every placed neighbour
+            # of u is low (its sum with p is at most c+p+span), so u is in
+            # the first part and u' in the second; but every prefix of the
+            # BFS order is connected.
             for u, ei in more:
                 t = c + labels[u]
                 if not nfsum >> t & 1:
@@ -291,8 +307,6 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                     nlo = t
                 if t > nhi:
                     nhi = t
-                if nhi - nlo > span:
-                    break
                 nfsum ^= 1 << t
                 sums[ei] = t
             else:
@@ -557,14 +571,17 @@ def compute_automorphisms(graph: Graph) -> tuple[tuple[int, ...], ...]:
 # graceful search
 # ---------------------------------------------------------------------------
 
-def find_graceful(graph: Graph, limit: Optional[int] = 1) -> list[VertexLabeling]:
+def find_graceful(graph: Graph, limit: Optional[int] = 1,
+                  budget: Optional[int] = None) -> list[VertexLabeling]:
     """Backtracking search for graceful labelings over vertex labels 0..|E|.
 
     Differences close as vertices are placed along the BFS order; each must
-    be a fresh value in 1..|E|.
+    be a fresh value in 1..|E|.  Graphs needing more than ``budget`` labels
+    (default ``DEFAULT_BUDGET``) are refused with :class:`BudgetExceeded`.
     """
     if not is_connected(graph):
         raise SearchError("graceful search requires a connected graph")
+    _check_budget(graph, budget)
     n, e = graph.vertex_count, graph.edge_count
     if n == 0:
         return []

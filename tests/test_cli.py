@@ -295,13 +295,15 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["t"] == 6
 
 
-def test_suite_double_star_budget_covers_every_row(capsys):
-    # the smallest double star, S_1,1, needs 7 labels
-    code, out, _ = run(capsys, "suite", "double-star", "--budget", "5", "--format", "json")
+@pytest.mark.parametrize("suite, rows", [("closing", 12), ("caterpillar", 151),
+                                         ("lobster", 5), ("double-star", 9)])
+def test_suite_budget_covers_every_row(capsys, suite, rows):
+    # the smallest graph any suite searches, P2 = K_1,1, needs 3 labels
+    code, out, _ = run(capsys, "suite", suite, "--budget", "2", "--format", "json")
     assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 9
-    assert all(row["verdict"] == "out-of-budget" for row in rows)
+    reports = json.loads(out)
+    assert len(reports) == rows
+    assert all(row["verdict"] == "out-of-budget" for row in reports)
 
 
 @pytest.mark.parametrize("argv", [("suite", "lobster"), ("search", "--b", "all")])

@@ -133,6 +133,12 @@ def test_budget_refusal():
         feasible_b_set(big)
     with pytest.raises(BudgetExceeded):
         find_edge_magic(SearchQuery(big))
+    l4 = build_lobster(4).graph  # 17 labels
+    with pytest.raises(BudgetExceeded):
+        find_graceful(l4, budget=16)
+    assert find_graceful(l4, budget=17)
+    with pytest.raises(BudgetExceeded):
+        find_graceful(big)
     # explicit budget raises the cap
     assert feasible_b_set(build_path(3).graph, budget=5) == {0, 1, 2, 3}
     with pytest.raises(BudgetExceeded):
