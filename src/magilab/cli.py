@@ -50,8 +50,6 @@ def _parse_spine(text: str) -> CaterpillarSpec:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"malformed spine spec {text!r}; expected comma-separated integers")
-    if not counts:
-        raise CliError("spine spec must name at least one spine vertex")
     return CaterpillarSpec(len(counts), counts)
 
 
@@ -375,7 +373,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphError, LabelingError, search.SearchError) as exc:
+    except (CliError, GraphError, LabelingError, search.SearchError,
+            constructions.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

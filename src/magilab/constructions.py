@@ -11,10 +11,11 @@ without the label-block structure it needs.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import count
 from typing import Optional
 
-from .graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
-                     build_double_star, is_connected)
+from .graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_double_star,
+                     is_connected)
 from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
 
 
@@ -38,56 +39,20 @@ class LambdaStarCase(Enum):
 def caterpillar_beta_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     """Consecutive edge-magic labeling of a caterpillar with offset beta.
 
-    Spine vertices at odd positions and leaves at even positions share the
-    high label block; the rest take the low block; edge labels descend along
-    the spine so that every edge sums to 2*alpha + 4*beta.
+    Two counters walk the vertices in canonical order: side Y takes
+    1, 2, ..., beta and side X takes alpha+2*beta, alpha+2*beta+1, ...
+    Each edge joins a vertex to one earlier in that order, and the vertex
+    sums of consecutive edges rise by exactly one, so the descending edge
+    labels alpha+2*beta-1, ..., beta+1 give every edge the sum
+    2*alpha + 4*beta.
     """
-    handle = build_caterpillar(spec)
-    graph = handle.graph
-    names = handle.name_map
-    r = spec.spine_length
-    counts = spec.leaf_counts
-    alpha, beta = spec.alpha, spec.beta
-    top = alpha + 2 * beta - 1
-
-    # prefix sums over leaf counts: all positions, odd positions, even positions
-    pref = [0] * (r + 1)
-    for t in range(1, r + 1):
-        pref[t] = pref[t - 1] + counts[t - 1]
-    odd_pref = [0]
-    for i in range(1, (r + 1) // 2 + 1):
-        odd_pref.append(odd_pref[-1] + counts[2 * i - 2])
-    even_pref = [0]
-    for i in range(1, r // 2 + 1):
-        even_pref.append(even_pref[-1] + counts[2 * i - 1])
-
-    vl = [0] * graph.vertex_count
-    el = [0] * graph.edge_count
-
-    for t in range(1, r + 1):
-        i = (t + 1) // 2
-        if t % 2 == 1:
-            vl[names[f"c{t}"]] = top + even_pref[i - 1] + i
-            for j in range(1, counts[t - 1] + 1):
-                vl[names[f"c{t}_{j}"]] = odd_pref[i - 1] + i + j - 1
-        else:
-            vl[names[f"c{t}"]] = odd_pref[i] + i
-            for j in range(1, counts[t - 1] + 1):
-                vl[names[f"c{t}_{j}"]] = top + even_pref[i - 1] + i + j
-
-    for t in range(1, r):
-        idx = graph.index_of_edge(names[f"c{t}"], names[f"c{t + 1}"])
-        el[idx] = alpha + 2 * beta - t - pref[t]
-    for t in range(1, r + 1):
-        i = (t + 1) // 2
-        for j in range(1, counts[t - 1] + 1):
-            idx = graph.index_of_edge(names[f"c{t}"], names[f"c{t}_{j}"])
-            if t % 2 == 1:
-                el[idx] = alpha + 2 * beta - 2 * i + 2 - pref[2 * i - 2] - j
-            else:
-                el[idx] = alpha + 2 * beta - 2 * i + 1 - pref[2 * i - 1] - j
-
-    return TotalLabeling(tuple(vl), tuple(el))
+    n, beta = spec.vertex_count, spec.beta
+    if n < 2:
+        raise ConstructionError("a caterpillar labeling needs at least one edge")
+    top = n + beta  # alpha + 2*beta
+    low, high = count(1), count(top)
+    vl = tuple(next(high) if on_x else next(low) for on_x in spec.on_side_x)
+    return TotalLabeling(vl, tuple(range(top - 1, beta, -1)))
 
 
 def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:

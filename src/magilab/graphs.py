@@ -138,8 +138,7 @@ class Bipartition:
 class CaterpillarSpec:
     """Spine length r and per-spine-vertex leaf counts n_1..n_r.
 
-    The derived side sizes ``alpha`` (odd spine vertices plus leaves hanging
-    off even spine vertices) and ``beta`` (the complementary side) drive every
+    The side sizes ``alpha`` (side X) and ``beta`` (side Y) drive every
     caterpillar formula in :mod:`magilab.constructions`.
     """
 
@@ -147,7 +146,11 @@ class CaterpillarSpec:
     leaf_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "leaf_counts", tuple(int(c) for c in self.leaf_counts))
+        object.__setattr__(self, "leaf_counts", tuple(self.leaf_counts))
+        # int() would turn 2.7 into 2 and True into 1
+        for x in (self.spine_length, *self.leaf_counts):
+            if type(x) is not int:
+                raise GraphError(f"caterpillar parameter {x!r} is not an integer")
         if self.spine_length < 1:
             raise GraphError("spine_length must be >= 1")
         if len(self.leaf_counts) != self.spine_length:
@@ -160,16 +163,28 @@ class CaterpillarSpec:
         return self.spine_length + sum(self.leaf_counts)
 
     @property
+    def on_side_x(self) -> tuple[bool, ...]:
+        """Side of each vertex in canonical order (see :func:`build_caterpillar`).
+
+        Side X holds the odd-position spine vertices and the leaves of the
+        even-position ones; side Y holds the rest.
+        """
+        sides = []
+        for i, count in enumerate(self.leaf_counts):
+            odd = i % 2 == 0  # spine positions count from 1
+            sides.append(odd)
+            sides.extend([not odd] * count)
+        return tuple(sides)
+
+    @property
     def alpha(self) -> int:
-        """Size of side X: even-position leaf counts plus ceil(r/2)."""
-        r = self.spine_length
-        return sum(self.leaf_counts[i] for i in range(1, r, 2)) + (r + 1) // 2
+        """Size of side X."""
+        return sum(self.on_side_x)
 
     @property
     def beta(self) -> int:
-        """Size of side Y: odd-position leaf counts plus floor(r/2)."""
-        r = self.spine_length
-        return sum(self.leaf_counts[i] for i in range(0, r, 2)) + r // 2
+        """Size of side Y."""
+        return self.vertex_count - self.alpha
 
 
 @dataclass(frozen=True)
@@ -214,33 +229,28 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
     """Caterpillar: spine path c_1..c_r with n_i leaves joined to c_i.
 
     Canonical vertex order is c_1, its leaves, c_2, its leaves, and so on,
-    which keeps every derived labeling byte-for-byte reproducible.  Side X
-    collects odd-position spine vertices and the leaves of even-position
-    ones; side Y is the complement.
+    which keeps every derived labeling byte-for-byte reproducible.  The
+    closed forms in :mod:`magilab.constructions` label vertices by walking
+    this order without building the graph, so changing the order means
+    changing them too.  Sides come from ``spec.on_side_x``.
     """
-    r = spec.spine_length
     names: dict[str, int] = {}
-    spine: list[int] = []
-    side_x: set[int] = set()
+    edges: list[tuple[int, int]] = []
+    spine = -1
     idx = 0
-    for i in range(1, r + 1):
+    for i, count in enumerate(spec.leaf_counts, 1):
+        if spine >= 0:
+            edges.append((spine, idx))
+        spine = idx
         names[f"c{i}"] = idx
-        spine.append(idx)
-        spine_odd = i % 2 == 1
-        if spine_odd:
-            side_x.add(idx)
         idx += 1
-        for j in range(1, spec.leaf_counts[i - 1] + 1):
+        for j in range(1, count + 1):
             names[f"c{i}_{j}"] = idx
-            if not spine_odd:
-                side_x.add(idx)
+            edges.append((spine, idx))
             idx += 1
-    edges = [(spine[i], spine[i + 1]) for i in range(r - 1)]
-    for i in range(1, r + 1):
-        for j in range(1, spec.leaf_counts[i - 1] + 1):
-            edges.append((names[f"c{i}"], names[f"c{i}_{j}"]))
     graph = Graph(idx, tuple(edges))
-    bip = Bipartition(frozenset(side_x), frozenset(range(idx)) - side_x)
+    side_x = frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x)
+    bip = Bipartition(side_x, frozenset(range(idx)) - side_x)
     family = {"kind": "caterpillar", "leaf_counts": list(spec.leaf_counts)}
     return FamilyHandle(graph, bip, names, family)
 
@@ -380,7 +390,7 @@ def _int_param(family: dict, key: str) -> int:
 
 def _caterpillar_from(family: dict) -> FamilyHandle:
     counts = family["leaf_counts"]
-    if not isinstance(counts, (list, tuple)) or any(type(c) is not int for c in counts):
+    if not isinstance(counts, (list, tuple)):
         raise GraphError(f"bad family descriptor: leaf_counts={counts!r} is not a list of integers")
     return build_caterpillar(CaterpillarSpec(len(counts), tuple(counts)))
 

@@ -171,6 +171,13 @@ def test_malformed_spine_exits_2(capsys):
     assert "malformed spine" in err
 
 
+@pytest.mark.parametrize("construction", ["caterpillar-beta", "caterpillar-super"])
+def test_construct_edgeless_caterpillar_exits_2(capsys, construction):
+    code, out, err = run(capsys, "construct", construction, "--spine", "0")
+    assert code == 2
+    assert out == "" and "at least one edge" in err
+
+
 def test_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -26,13 +26,26 @@ def _cat(r, counts):
 # beta-offset caterpillar labeling
 # ---------------------------------------------------------------------------
 
-def test_beta_labeling_p4_exact():
-    spec, handle = _cat(2, (1, 1))
+@pytest.mark.parametrize("counts,beta_form,super_form", [
+    ((1, 1),  # P4: c1, c1_1, c2, c2_1; edges c1-c1_1, c1-c2, c2-c2_1
+     ((6, 1, 2, 7), (5, 4, 3)),
+     ((3, 1, 2, 4), (7, 6, 5))),
+    ((2, 0, 3, 1),
+     ((17, 1, 2, 3, 18, 4, 5, 6, 7, 19), tuple(range(16, 7, -1))),
+     ((8, 1, 2, 3, 9, 4, 5, 6, 7, 10), tuple(range(19, 10, -1)))),
+    ((0, 2, 0, 1, 1),
+     ((12, 1, 13, 14, 15, 2, 16, 17, 3), tuple(range(11, 3, -1))),
+     ((4, 1, 5, 6, 7, 2, 8, 9, 3), tuple(range(17, 9, -1)))),
+], ids=["P4", "S2031", "S02011"])
+def test_beta_labeling_p4_exact(counts, beta_form, super_form):
+    spec, handle = _cat(len(counts), counts)
     lam = caterpillar_beta_labeling(spec)
-    assert lam.vertex_labels == (6, 1, 2, 7)  # c1, c1_1, c2, c2_1
-    assert lam.edge_labels == (5, 4, 3)       # c1-c1_1, c1-c2, c2-c2_1
+    sup = caterpillar_super_labeling(spec)
+    assert (lam.vertex_labels, lam.edge_labels) == beta_form
+    assert (sup.vertex_labels, sup.edge_labels) == super_form
     got = classify(handle.graph, lam)
-    assert (got.magic_constant, got.consecutive_index) == (12, 2)
+    assert (got.magic_constant, got.consecutive_index) == \
+        (2 * spec.alpha + 4 * spec.beta, spec.beta)
 
 
 @pytest.mark.parametrize("r,counts,b,k", [
@@ -49,9 +62,9 @@ def test_beta_labeling_classifies(r, counts, b, k):
 
 
 def test_beta_labeling_grid():
-    """Bijection + offset + constant over a small exhaustive grid."""
-    for r in range(1, 4):
-        for counts in product(range(3), repeat=r):
+    """Bijection + offset + constant over every spec with r <= 5, counts 0..3."""
+    for r in range(1, 6):
+        for counts in product(range(4), repeat=r):
             spec, handle = _cat(r, counts)
             if handle.graph.edge_count == 0:
                 continue
@@ -60,6 +73,13 @@ def test_beta_labeling_grid():
             got = classify(handle.graph, lam)
             assert got.consecutive_index == spec.beta
             assert got.magic_constant == 2 * spec.alpha + 4 * spec.beta
+
+
+@pytest.mark.parametrize("construction", [caterpillar_beta_labeling,
+                                          caterpillar_super_labeling])
+def test_closed_forms_refuse_edgeless_caterpillar(construction):
+    with pytest.raises(ConstructionError, match="at least one edge"):
+        construction(CaterpillarSpec(1, (0,)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,14 @@ def test_caterpillar_spec_validation():
         CaterpillarSpec(1, (-1,))
 
 
+@pytest.mark.parametrize("r,counts", [
+    (1, (2.7,)), (2, (1, True)), (2.0, (1, 1)), (True, (1,)),
+], ids=["count-float", "count-bool", "spine-float", "spine-bool"])
+def test_caterpillar_spec_rejects_non_integers(r, counts):
+    with pytest.raises(GraphError, match="not an integer"):
+        CaterpillarSpec(r, counts)
+
+
 def test_double_star_of_single_leaves_is_p4():
     handle = build_double_star(1, 1)
     assert handle.graph.vertex_count == 4
@@ -75,6 +83,7 @@ def test_caterpillar_counts(r, counts):
     assert handle.graph.vertex_count == sum(counts) + r
     assert handle.graph.edge_count == sum(counts) + r - 1
     assert spec.alpha + spec.beta == handle.graph.vertex_count
+    assert spec.alpha == (r + 1) // 2 + sum(counts[1::2])  # odd spine, even leaves
     assert handle.bipartition.sizes == (spec.alpha, spec.beta)
 
 
