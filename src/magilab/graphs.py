@@ -412,12 +412,15 @@ def graph_from_dict(data: dict):
 
     Returns a :class:`FamilyHandle` when a known family descriptor is
     present (the graph is rebuilt from its parameters and must match the
-    serialized edge list), otherwise a bare :class:`Graph`.
+    serialized edge list, and so must the ``names`` and ``side_x`` the
+    descriptor carries, if any), otherwise a bare :class:`Graph`.
     """
     graph = Graph.from_dict(data)
     family = data.get("family")
-    if not family:
+    if family is None:
         return graph
+    if not isinstance(family, dict):
+        raise GraphError(f"bad graph record: family {family!r} is not an object")
     kind = family.get("kind")
     builder = _FAMILY_BUILDERS.get(kind)
     if builder is None:
@@ -428,6 +431,13 @@ def graph_from_dict(data: dict):
         raise GraphError(f"bad family descriptor for kind {kind!r}: {exc}") from exc
     if handle.graph != graph:
         raise GraphError("family descriptor does not reproduce the serialized edges")
+    rebuilt = {"names": handle.name_map}
+    if handle.bipartition is not None:
+        rebuilt["side_x"] = sorted(handle.bipartition.side_x)
+    for key in ("names", "side_x"):
+        if key in family and family[key] != rebuilt.get(key):
+            raise GraphError(f"family descriptor {key}={family[key]!r} differs from "
+                             f"the one its parameters rebuild")
     return handle
 
 

@@ -16,24 +16,24 @@ becomes a range of admissible sums, and no sum outside it is ever free.
 Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
 
-Both engines keep their DFS state in Python ints used as bit sets (the
-free labels, and the free sums or a mirrored copy of the free labels),
-passed down the recursion, so backtracking undoes nothing.  A vertex's
-candidate labels are one mask, visited lowest first.  Both prune with one
-forward check: a vertex keeps a label only if enough free labels remain
-for the children it has in the placement tree.  That rests on labels (and
-sums) being distinct, which is the definition itself, so the check grades
-nothing.
+All three engines (these two and the graceful search) walk one placement
+plan, ``_plan``: a BFS order from a max-degree root, so every vertex but
+the first closes at least one edge the moment it is placed.  Each keeps
+its DFS state in Python ints used as bit sets (the free labels, plus the
+free sums, a mirrored copy of the free labels, or the free differences and
+their mirror), passed down the recursion, so backtracking undoes nothing.
+A vertex's candidate labels are one mask, visited lowest first.  The two
+magic engines prune with one forward check: a vertex keeps a label only if
+enough free labels remain for the children it has in the placement tree.
+That rests on labels (and sums) being distinct, which is the definition
+itself, so the check grades nothing.
 
-Searches enumerate vertex-label assignments depth first along a BFS
-placement order, so all but the first vertex close at least one edge the
-moment they are placed.  Results are reported sorted by vertex-label
-vector, which makes output independent of the internal iteration order.
+Results of the magic searches are reported sorted by vertex-label vector,
+which makes output independent of the internal iteration order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,72 +100,51 @@ class SearchReport:
 # placement machinery
 # ---------------------------------------------------------------------------
 
-def _placement(graph: Graph):
-    """BFS order from a max-degree root, plus each vertex's closed edges.
+def _plan(graph: Graph, canonical_only: bool):
+    """Placement order as per-position steps, shared by every engine.
 
-    ``backs[i]`` lists (earlier_vertex, edge_index) pairs for the vertex at
-    position i, so the DFS can force those edge labels on placement.
+    The order is a BFS from a max-degree root; the graph is connected, so
+    every vertex after the root closes at least one edge to an earlier one.
+    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, kids)``: the
+    vertex placed at position i, its first closed edge (earlier vertex u0,
+    edge index e0; ``None`` for the root), its other closed edges as
+    (earlier vertex, edge index) pairs, and its twin bounds.  With
+    ``canonical_only``, twins (equal neighborhoods) take labels in ascending
+    vertex order; since the twins placed earlier already obey that order,
+    only the nearest one on each side of v bounds its label from below
+    (``below``) or above (``above``).  Where a side has no such twin it
+    names a sentinel slot of the labels list, ``n`` (label 0) or ``n + 1``
+    (a label above every label), and ``twin`` is False when neither side
+    has one.  ``kids`` counts the later vertices whose first closed edge
+    meets v, the children of v in the placement tree.
     """
     n = graph.vertex_count
     adj = graph.adjacency
     root = max(range(n), key=lambda v: (len(adj[v]), -v))
     pos = {root: 0}
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    for u in order:  # the loop also visits the vertices appended to order
         for v in adj[u]:
             if v not in pos:
                 pos[v] = len(order)
                 order.append(v)
-                queue.append(v)
-    if len(order) != n:
-        raise SearchError("search requires a connected graph")
     edge_index = graph.edge_index
-    backs = []
-    for i, v in enumerate(order):
-        closed = []
-        for u in adj[v]:
-            if pos[u] < i:
-                pair = (u, v) if u < v else (v, u)
-                closed.append((u, edge_index[pair]))
-        backs.append(tuple(closed))
-    return order, backs
-
-
-def _plan(graph: Graph, canonical_only: bool):
-    """Placement order as per-position steps for the bitmask engines.
-
-    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, kids)``: the
-    vertex placed at position i, its first closed edge (earlier vertex u0,
-    edge index e0; ``None`` for the root), its other closed edges, and its
-    twin bounds.  With ``canonical_only``, twins (equal neighborhoods) take
-    labels in ascending vertex order; since the twins placed earlier already
-    obey that order, only the nearest one on each side of v bounds its label
-    from below (``below``) or above (``above``).  Where a side has no such
-    twin it names a sentinel slot of the labels list, ``n`` (label 0) or
-    ``n + 1`` (a label above every label), and ``twin`` is False when
-    neither side has one.  ``kids`` counts the later vertices whose first
-    closed edge meets v, the children of v in the placement tree.
-    """
-    n = graph.vertex_count
-    order, backs = _placement(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    kids = [0] * n
-    for bks in backs[1:]:
-        kids[bks[0][0]] += 1
     groups: dict[frozenset, list[int]] = {}
     if canonical_only:
         for v in range(n):
-            groups.setdefault(frozenset(graph.adjacency[v]), []).append(v)
+            groups.setdefault(frozenset(adj[v]), []).append(v)
+    kids = [0] * n
     steps = []
     for i, v in enumerate(order):
-        earlier = [u for u in groups.get(frozenset(graph.adjacency[v]), ()) if pos[u] < i]
+        closed = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adj[v] if pos[u] < i]
+        u0, e0 = closed[0] if closed else (None, None)
+        if closed:
+            kids[u0] += 1
+        earlier = [u for u in groups.get(frozenset(adj[v]), ()) if pos[u] < i]
         below = max((u for u in earlier if u < v), default=n)
         above = min((u for u in earlier if u > v), default=n + 1)
-        u0, e0 = backs[i][0] if backs[i] else (None, None)
-        steps.append((v, u0, e0, backs[i][1:], bool(earlier), below, above, kids[v]))
-    return steps
+        steps.append((v, u0, e0, tuple(closed[1:]), bool(earlier), below, above))
+    return [step + (kids[step[0]],) for step in steps]
 
 
 def _k_window(graph: Graph, b: Optional[int], pool: list[int], elo: int, ehi: int):
@@ -205,8 +184,13 @@ def _report(sols: list, constants, count: int, truncated: bool, b: Optional[int]
 
 
 def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
-                           limit: Optional[int], canonical_only: bool) -> SearchReport:
+                           limit: Optional[int], canonical_only: bool,
+                           steps: Optional[list] = None) -> SearchReport:
     """Sum-window DFS: every consecutive labeling at offset b, with no loop over k.
+
+    The graph needs an edge.  ``steps`` is ``_plan(graph, canonical_only)``,
+    built here, after the exit for an empty constant window, unless the
+    caller passes it (a sweep over offsets builds it once).
 
     Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
     never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
@@ -232,15 +216,14 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
-    if e == 0:
-        return _report([], (), 0, False, b)
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
     klo, khi = _k_window(graph, b, pool, b + 1, b + e)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
         return _report([], (), 0, False, b)
-    steps = _plan(graph, canonical_only)
+    if steps is None:
+        steps = _plan(graph, canonical_only)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top = pool[-1] + pool[-2]
@@ -445,6 +428,17 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
 # public operations
 # ---------------------------------------------------------------------------
 
+def _admit(graph: Graph, budget: Optional[int]) -> None:
+    """The one entry check of every search: a connected graph, then the budget."""
+    if not is_connected(graph):
+        raise SearchError("search requires a connected graph")
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if graph.label_count > cap:
+        raise BudgetExceeded(
+            f"graph needs {graph.label_count} labels, over the budget of {cap}; "
+            f"raise the budget to force the sweep")
+
+
 def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
     """All labelings with edge-label block {b+1 .. b+|E|} and constant sums.
 
@@ -454,24 +448,19 @@ def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> Search
     graph = query.graph
     if query.b is None:
         raise SearchError("find_consecutive needs b; use find_edge_magic for open searches")
-    if not is_connected(graph):
-        raise SearchError("search requires a connected graph")
+    _admit(graph, budget)
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
-    _check_budget(graph, budget)
     return _enumerate_consecutive(graph, query.b, query.magic_constant, query.limit,
                                   query.canonical_only)
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
     """All edge-magic labelings regardless of where edge labels sit."""
-    graph = query.graph
     if query.b is not None:
         raise SearchError("find_edge_magic searches without a block offset")
-    if not is_connected(graph):
-        raise SearchError("search requires a connected graph")
-    _check_budget(graph, budget)
-    return _enumerate_edge_magic(graph, query.magic_constant, query.limit,
+    _admit(query.graph, budget)
+    return _enumerate_edge_magic(query.graph, query.magic_constant, query.limit,
                                  query.canonical_only)
 
 
@@ -481,12 +470,14 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     Each offset's search stops at its first witness labeling.  An offset
     without one is searched to exhaustion (with twin symmetry broken, which
     cannot change satisfiability), so absent values are certified absent.
+    One placement plan serves every offset.
     """
-    if not is_connected(graph):
-        raise SearchError("feasible_b_set requires a connected graph")
-    _check_budget(graph, budget)
+    _admit(graph, budget)
+    if graph.edge_count == 0:
+        return set()
+    steps = _plan(graph, True)
     return {b for b in range(graph.vertex_count + 1)
-            if _enumerate_consecutive(graph, b, None, 1, True).solution_count}
+            if _enumerate_consecutive(graph, b, None, 1, True, steps).solution_count}
 
 
 def count_canonical(graph: Graph, b: int,
@@ -506,14 +497,6 @@ def count_orbits(graph: Graph, labelings, automorphisms: Optional[tuple] = None)
         vl = lab.vertex_labels
         orbit_reps.add(min(tuple(vl[perm[i]] for i in range(n)) for perm in automorphisms))
     return len(orbit_reps)
-
-
-def _check_budget(graph: Graph, budget: Optional[int]) -> None:
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if graph.label_count > cap:
-        raise BudgetExceeded(
-            f"graph needs {graph.label_count} labels, over the budget of {cap}; "
-            f"raise the budget to force the sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -575,52 +558,58 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
                   budget: Optional[int] = None) -> list[VertexLabeling]:
     """Backtracking search for graceful labelings over vertex labels 0..|E|.
 
-    Differences close as vertices are placed along the BFS order; each must
-    be a fresh value in 1..|E|.  Graphs needing more than ``budget`` labels
-    (default ``DEFAULT_BUDGET``) are refused with :class:`BudgetExceeded`.
+    Differences close as vertices are placed along the shared plan; each
+    must be a fresh value in 1..|E|.  ``limit`` (at least 1, or None for
+    all) keeps the first labelings in search order.  Graphs needing more
+    than ``budget`` labels (default ``DEFAULT_BUDGET``) are refused with
+    :class:`BudgetExceeded`.
+
+    Bit c of ``free`` is set while label c is unused, bit d of ``fdiff``
+    while difference d is unused, and bit |E| - d of its mirror ``rdiff``
+    likewise, so a vertex whose first closed edge meets label lu0 may take
+    exactly ``free & (fdiff << lu0 | rdiff >> (|E| - lu0))``.
     """
-    if not is_connected(graph):
-        raise SearchError("graceful search requires a connected graph")
-    _check_budget(graph, budget)
+    if limit is not None and limit < 1:
+        raise SearchError(f"limit must be at least 1, got {limit}")
+    _admit(graph, budget)
     n, e = graph.vertex_count, graph.edge_count
     if n == 0:
         return []
-    order, backs = _placement(graph)
-    labels = [-1] * n
-    used = bytearray(e + 1)
-    used_diff = bytearray(e + 1)
+    steps = _plan(graph, False)
+    labels = [0] * n
     found: list[VertexLabeling] = []
 
-    def place(i: int) -> bool:
+    def place(i, free, fdiff, rdiff):
         if i == n:
             found.append(VertexLabeling(tuple(labels)))
             return limit is None or len(found) < limit
-        v = order[i]
-        bks = backs[i]
-        for c in range(e + 1):
-            if used[c]:
-                continue
-            nd = 0
-            ok = True
-            for u, _ in bks:
-                d = abs(c - labels[u])
-                if d == 0 or used_diff[d]:
-                    ok = False
+        v, u0, _, more, _, _, _, _ = steps[i]
+        lu0 = labels[u0]
+        cand = free & (fdiff << lu0 | rdiff >> (e - lu0))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            d = abs(c - lu0)
+            nfdiff = fdiff ^ (1 << d)
+            nrdiff = rdiff ^ (1 << (e - d))
+            for u, _ in more:
+                d = abs(c - labels[u])  # never 0: labels[u] is not free
+                if not nfdiff >> d & 1:
                     break
-                used_diff[d] = 1
-                nd += 1
-            proceed = True
-            if ok:
-                used[c] = 1
+                nfdiff ^= 1 << d
+                nrdiff ^= 1 << (e - d)
+            else:
                 labels[v] = c
-                proceed = place(i + 1)
-                labels[v] = -1
-                used[c] = 0
-            for t in range(nd):
-                used_diff[abs(c - labels[bks[t][0]])] = 0
-            if not proceed:
-                return False
+                if not place(i + 1, free ^ low, nfdiff, nrdiff):
+                    return False
         return True
 
-    place(0)
+    # labels 0..|E| and differences 1..|E| free, the mirror in bits 0..|E|-1
+    full = (2 << e) - 1
+    root = steps[0][0]
+    for c in range(e + 1):
+        labels[root] = c
+        if not place(1, full ^ (1 << c), full ^ 1, full >> 1):
+            break
     return found

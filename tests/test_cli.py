@@ -233,6 +233,17 @@ def test_search_family_with_boolean_parameter_exits_2(tmp_path, capsys):
     assert out == "" and "not an integer" in err
 
 
+@pytest.mark.parametrize("family", ["caterpillar", [1]], ids=["str", "list"])
+def test_search_non_object_family_exits_2(tmp_path, capsys, family):
+    record = build_lobster(1).to_dict()
+    record["family"] = family
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(record))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 2
+    assert out == "" and "is not an object" in err
+
+
 def test_search_single_offset_budget(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "lobster", "-p", "3", "-o", str(gpath))  # 13 labels

@@ -265,6 +265,41 @@ def test_json_family_rejects_non_integer_parameters(record):
         graph_from_dict(record)
 
 
+@pytest.mark.parametrize("family", ["caterpillar", [1], 0, ""],
+                         ids=["str", "list", "zero", "empty-str"])
+def test_json_family_must_be_an_object(family):
+    record = build_path(3).to_dict()
+    record["family"] = family
+    with pytest.raises(GraphError, match="is not an object"):
+        graph_from_dict(record)
+
+
+@pytest.mark.parametrize("changes", [
+    {"names": {"bogus": 0}, "side_x": [3]},
+    {"names": {"bogus": 0}},
+    {"side_x": [3]},
+    {"side_x": [0, 3, 3]},
+    {"names": ["c1", "c1_1", "c2", "c2_1"]},
+], ids=["both", "names", "side-x", "side-x-repeat", "names-list"])
+def test_json_family_names_and_sides_must_match_rebuild(changes):
+    handle = build_caterpillar(CaterpillarSpec(2, (1, 1)))  # P4
+    with pytest.raises(GraphError, match="differs from the one its parameters rebuild"):
+        graph_from_dict(_family_record(handle, **changes))
+
+
+def test_json_family_names_and_sides_are_optional():
+    handle = build_caterpillar(CaterpillarSpec(2, (1, 1)))
+    record = handle.to_dict()
+    del record["family"]["names"], record["family"]["side_x"]
+    back = graph_from_dict(record)
+    assert back.name_map == handle.name_map
+    assert back.bipartition == handle.bipartition
+    # an odd cycle has no sides to carry
+    record = _family_record(build_cycle(3), side_x=[0])
+    with pytest.raises(GraphError, match="side_x"):
+        graph_from_dict(record)
+
+
 def test_bipartition_requires_vertex_zero_in_x():
     with pytest.raises(GraphError):
         Bipartition(frozenset({1}), frozenset({0}))

@@ -94,6 +94,7 @@ def test_feasible_sets():
 
 
 def test_feasible_set_of_edgeless_graph_is_empty():
+    assert feasible_b_set(Graph(0, ())) == set()
     assert feasible_b_set(Graph(1, ())) == set()
 
 
@@ -278,6 +279,49 @@ def test_find_graceful_exhaustive_count_matches_limit():
     unlimited = find_graceful(g, limit=None)
     assert len(unlimited) >= 2
     assert find_graceful(g, limit=2) == unlimited[:2]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_graceful_limit_below_one_rejected(limit):
+    with pytest.raises(SearchError, match="limit must be at least 1"):
+        find_graceful(build_path(4).graph, limit=limit)
+
+
+def _brute_force_graceful(graph):
+    """Reference enumerator: every injective assignment of 0..|E| to the vertices.
+
+    An assignment is accepted when its |E| edge differences are distinct,
+    which for values in 1..|E| means they are exactly 1..|E|.
+    """
+    e = graph.edge_count
+    return {vl for vl in permutations(range(e + 1), graph.vertex_count)
+            if len({abs(vl[u] - vl[v]) for u, v in graph.edges}) == e}
+
+
+@pytest.mark.parametrize("handle", [
+    build_path(2), build_path(3), build_path(4), build_path(5), build_path(6),
+    build_star(3), build_star(4), build_cycle(4), build_cycle(5),
+    build_complete_bipartite(2, 3), build_double_star(1, 2), build_lobster(2),
+], ids=["P2", "P3", "P4", "P5", "P6", "K1,3", "K1,4", "C4", "C5", "K2,3", "DS1,2", "L2"])
+def test_graceful_search_matches_brute_force(handle):
+    g = handle.graph
+    found = [lab.vertex_labels for lab in find_graceful(g, limit=None)]
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_force_graceful(g)
+    assert [lab.vertex_labels for lab in find_graceful(g, limit=2)] == found[:2]
+
+
+def test_disconnected_graph_is_refused_before_the_budget():
+    # one guard admits graphs to every search: connectivity is checked first
+    g = Graph(24, ((0, 1),))
+    assert g.label_count > 22
+    searches = [lambda: find_consecutive(SearchQuery(g, b=0)),
+                lambda: find_edge_magic(SearchQuery(g)),
+                lambda: feasible_b_set(g),
+                lambda: find_graceful(g)]
+    for search in searches:
+        with pytest.raises(SearchError, match="connected"):
+            search()
 
 
 def _brute_force_consecutive(graph, b):
