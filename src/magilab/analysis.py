@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
-                     build_complete_bipartite, build_cycle, build_double_star,
-                     build_lobster, is_connected)
+from .graphs import (CaterpillarSpec, Graph, GraphError, bipartition_of,
+                     build_caterpillar, build_complete_bipartite, build_cycle,
+                     build_double_star, build_lobster, is_connected)
 from .search import (BudgetExceeded, SearchError, SearchQuery, compute_automorphisms,
                      count_orbits, feasible_b_set, find_consecutive,
                      find_edge_magic, find_graceful)
@@ -108,7 +108,13 @@ def lobster_b_set(p: int) -> set[int]:
 
 
 def constant_form_check(m: int, n: int, k: int) -> ConstantFormWitness:
-    """Try to write k as gcd(m,n)*t + 6 with t >= 0."""
+    """Try to write k as gcd(m,n)*t + 6 with t >= 0.
+
+    The double star S_{m,n} exists only for m, n >= 1; other sizes raise
+    :class:`GraphError`.
+    """
+    if m < 1 or n < 1:
+        raise GraphError("double star needs m >= 1 and n >= 1")
     d = math.gcd(m, n)
     t = None
     if k >= 6 and (k - 6) % d == 0:

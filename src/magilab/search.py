@@ -17,16 +17,24 @@ Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
 
 All three engines (these two and the graceful search) walk one placement
-plan, ``_plan``: a BFS order from a max-degree root, so every vertex but
-the first closes at least one edge the moment it is placed.  Each keeps
-its DFS state in Python ints used as bit sets (the free labels, plus the
-free sums, a mirrored copy of the free labels, or the free differences and
-their mirror), passed down the recursion, so backtracking undoes nothing.
-A vertex's candidate labels are one mask, visited lowest first.  The two
-magic engines prune with one forward check: a vertex keeps a label only if
-enough free labels remain for the children it has in the placement tree.
-That rests on labels (and sums) being distinct, which is the definition
-itself, so the check grades nothing.
+plan, ``_plan``: a BFS order from a max-degree root over the non-leaves,
+then the leaves, so every vertex but the first closes at least one edge
+the moment it is placed.  Each keeps its DFS state in Python ints used as
+bit sets (the free labels, plus the free sums, a mirrored copy of the free
+labels, or the free differences and their mirror), passed down the
+recursion, so backtracking undoes nothing.  A vertex's candidate labels
+are one mask, visited lowest first.
+
+The two magic engines prune with two O(1) checks per candidate label.  A
+forward check keeps a label only if enough free labels remain for the
+children the vertex has in the placement tree.  A degree-weighted sum
+check uses sum over edges of (f(u) + f(v)) = sum of deg(v) * f(v): the
+placed vertices fix part of it, and the unplaced ones add
+sum of (deg - 1) * f, which lies between their total weight times the
+lowest and the highest free label.  Leaves weigh nothing, so with leaves
+last that share is exactly 0 once the last non-leaf is placed.  Both
+checks rest only on that identity, the sum window and labels (and sums)
+being distinct, which is the definition itself, so they grade nothing.
 
 Results of the magic searches are reported sorted by vertex-label vector,
 which makes output independent of the internal iteration order.
@@ -51,6 +59,12 @@ class BudgetExceeded(RuntimeError):
     """Explicit refusal: the requested exhaustive sweep exceeds the label budget."""
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a search parameter that is not exactly an int: no True or 1.0."""
+    if value is not None and type(value) is not int:
+        raise SearchError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchQuery:
     """What to search for.
@@ -61,6 +75,8 @@ class SearchQuery:
     enumeration without changing which queries are satisfiable.  ``limit``,
     when given, stops the search after that many labelings (at least 1):
     the first ones in search order, which need not have the lowest k.
+    ``b``, ``magic_constant`` and ``limit`` must be exactly ``int`` (or
+    None): ``True`` or ``1.0`` raise :class:`SearchError`.
     """
 
     graph: Graph
@@ -70,6 +86,8 @@ class SearchQuery:
     canonical_only: bool = False
 
     def __post_init__(self):
+        for name in ("b", "magic_constant", "limit"):
+            _require_int(name, getattr(self, name))
         if self.b is not None and not 0 <= self.b <= self.graph.vertex_count:
             raise SearchError(f"b={self.b} outside 0..{self.graph.vertex_count}")
         if self.limit is not None and self.limit < 1:
@@ -103,27 +121,44 @@ class SearchReport:
 def _plan(graph: Graph, canonical_only: bool):
     """Placement order as per-position steps, shared by every engine.
 
-    The order is a BFS from a max-degree root; the graph is connected, so
-    every vertex after the root closes at least one edge to an earlier one.
-    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, kids)``: the
-    vertex placed at position i, its first closed edge (earlier vertex u0,
-    edge index e0; ``None`` for the root), its other closed edges as
-    (earlier vertex, edge index) pairs, and its twin bounds.  With
+    The order is a BFS from a max-degree root over the vertices of degree at
+    least 2, then the leaves, each in the order its neighbour was placed.
+    Every vertex after the root still closes an edge to an earlier one: in
+    a connected graph with at least 3 vertices the root has degree at least
+    2, and the non-leaves induce a connected subgraph (the inner vertices of
+    a path between two non-leaves are non-leaves), so the BFS reaches all of
+    them and every leaf's neighbour is among them; K2 is just the root and
+    its neighbour.  So every prefix of the order induces a connected graph.
+    Leaves come last because they carry no weight in the degree-weighted sum
+    check of the magic engines: once the last non-leaf is placed, that check
+    is exact.
+
+    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, dw, rest,
+    kids)``: the vertex placed at position i, its first closed edge (earlier
+    vertex u0, edge index e0; ``None`` for the root), its other closed edges
+    as (earlier vertex, edge index) pairs, and its twin bounds.  With
     ``canonical_only``, twins (equal neighborhoods) take labels in ascending
     vertex order; since the twins placed earlier already obey that order,
     only the nearest one on each side of v bounds its label from below
     (``below``) or above (``above``).  Where a side has no such twin it
     names a sentinel slot of the labels list, ``n`` (label 0) or ``n + 1``
     (a label above every label), and ``twin`` is False when neither side
-    has one.  ``kids`` counts the later vertices whose first closed edge
-    meets v, the children of v in the placement tree.
+    has one.  ``dw`` is deg(v) - 1, the weight of v's label in the sum
+    check, and ``rest`` the total weight of the vertices after position i.
+    ``kids`` counts the later vertices whose first closed edge meets v, the
+    children of v in the placement tree.
     """
     n = graph.vertex_count
     adj = graph.adjacency
     root = max(range(n), key=lambda v: (len(adj[v]), -v))
     pos = {root: 0}
     order = [root]
-    for u in order:  # the loop also visits the vertices appended to order
+    for u in order:  # BFS over the non-leaves: the loop visits what it appends
+        for v in adj[u]:
+            if v not in pos and len(adj[v]) > 1:
+                pos[v] = len(order)
+                order.append(v)
+    for u in order[:]:  # then the leaves, by the position of their neighbour
         for v in adj[u]:
             if v not in pos:
                 pos[v] = len(order)
@@ -134,6 +169,7 @@ def _plan(graph: Graph, canonical_only: bool):
         for v in range(n):
             groups.setdefault(frozenset(adj[v]), []).append(v)
     kids = [0] * n
+    rest = sum(len(adj[v]) - 1 for v in order)
     steps = []
     for i, v in enumerate(order):
         closed = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adj[v] if pos[u] < i]
@@ -143,7 +179,9 @@ def _plan(graph: Graph, canonical_only: bool):
         earlier = [u for u in groups.get(frozenset(adj[v]), ()) if pos[u] < i]
         below = max((u for u in earlier if u < v), default=n)
         above = min((u for u in earlier if u > v), default=n + 1)
-        steps.append((v, u0, e0, tuple(closed[1:]), bool(earlier), below, above))
+        rest -= len(adj[v]) - 1
+        steps.append((v, u0, e0, tuple(closed[1:]), bool(earlier), below, above,
+                      len(adj[v]) - 1, rest))
     return [step + (kids[step[0]],) for step in steps]
 
 
@@ -198,8 +236,8 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     the |E| distinct sums then span exactly |E| - 1, which forces
     k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}.
 
-    The DFS state is two ints passed down the recursion with (lo, hi), so
-    nothing is undone on backtracking.  Bit c of ``free`` is set while
+    The DFS state is two ints passed down the recursion with (lo, hi) and
+    w (below), so nothing is undone on backtracking.  Bit c of ``free`` is set while
     label c is unused.  Bit s of ``fsum`` is set while sum s is unused,
     allowed by some constant in the degree-sum window (or the pinned one),
     and within |E| - 1 of every sum so far; that last condition is applied
@@ -208,11 +246,21 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     ``free & (fsum >> lu0)``, visited lowest first; its other closed edges
     are checked one by one.
 
+    Sum check: the final sums fill [L, L+|E|-1], where L is the lowest, so
+    sum of deg(v) * f(v) = |E| * L + |E|(|E|-1)/2.  The vertices take
+    exactly the pool, so |E| * L = w + (sum of (deg - 1) * f over the
+    unplaced vertices), where ``w`` is sum(pool) - |E|(|E|-1)/2 plus the
+    placed vertices' sum of (deg - 1) * f.  L lies in [hi - |E| + 1, lo].
+    The unplaced share lies between ``rest`` (see ``_plan``) times the
+    lowest and the highest free label, so a label that leaves no L in range
+    meeting those bounds is dropped.  When ``rest`` is 0 the share is 0:
+    w must be divisible by |E| and give L in range.
+
     Forward check: each kid of v (see ``_plan``) will need its own free
     label whose sum with v's label is still in ``fsum``, so a label for v
-    that leaves fewer such labels than v has kids is dropped.  The check
-    uses only that labels and sums are distinct and the sum window, never
-    a theorem the search grades.
+    that leaves fewer such labels than v has kids is dropped.  Both checks
+    use only the degree-sum identity, that labels and sums are distinct and
+    the sum window, never a theorem the search grades.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
@@ -236,12 +284,14 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     span = e - 1
     span2 = 2 * span
     base = b + e
+    # w before any vertex is placed, see the sum check
+    w0 = sum(pool) - e * span // 2
     sols: list[tuple] = []
     constants: set[int] = set()
     count = 0
     truncated = False
 
-    def place(i, free, fsum, lo, hi):
+    def place(i, free, fsum, lo, hi, w):
         nonlocal count, truncated
         if i == n:
             k = lo + base
@@ -252,7 +302,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                 truncated = True
                 return False
             return True
-        v, u0, e0, more, twin, below, above, kids = steps[i]
+        v, u0, e0, more, twin, below, above, dw, rest, kids = steps[i]
         lu0 = labels[u0]
         cand = free & (fsum >> lu0)
         if twin:
@@ -281,7 +331,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
             # vertices on low-low edges and the rest.  Every placed neighbour
             # of u is low (its sum with p is at most c+p+span), so u is in
             # the first part and u' in the second; but every prefix of the
-            # BFS order is connected.
+            # plan's order is connected (see _plan).
             for u, ei in more:
                 t = c + labels[u]
                 if not nfsum >> t & 1:
@@ -297,22 +347,29 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                 # built shifted up by span, so no shift count goes negative)
                 nfsum &= ((2 << (nlo + span2)) - (1 << nhi)) >> span
                 nfree = free ^ low
+                nw = w + dw * c
+                if rest:
+                    if (e * nlo - nw < rest * ((nfree & -nfree).bit_length() - 1)
+                            or e * (nhi - span) - nw > rest * (nfree.bit_length() - 1)):
+                        continue
+                elif nw % e or not e * (nhi - span) <= nw <= e * nlo:
+                    continue
                 if kids and (nfree & (nfsum >> c)).bit_count() < kids:
                     continue
                 labels[v] = c
-                if not place(i + 1, nfree, nfsum, nlo, nhi):
+                if not place(i + 1, nfree, nfsum, nlo, nhi, nw):
                     return False  # the search is over
         return True
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root, _, _, _, _, _, _, kids = steps[0]
+    root, _, _, _, _, _, _, dw, rest, kids = steps[0]
     for c in pool:
         free = free0 ^ (1 << c)
         if (free & (fsum0 >> c)).bit_count() < kids:
             continue
         labels[root] = c
-        if not place(1, free, fsum0, top + 1, -1):
+        if not place(1, free, fsum0, top + 1, -1, w0 + dw * c):
             break
     return _report(sols, constants, count, truncated, b)
 
@@ -326,20 +383,29 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     constant) gets its own DFS, in which placing a vertex forces each closed
     edge's label to k - f(u) - f(v), which must be in range and unused.
 
-    The DFS state is two ints passed down the recursion, so nothing is
-    undone on backtracking.  Bit x of ``free`` is set while label x is
-    unused, and ``rfree`` mirrors it, with bit |V|+|E|+1-x set while x is
-    unused.  Shifting ``rfree`` lines "label k - c - lu0 is free" up with
+    The DFS state is two ints and r (below) passed down the recursion, so
+    nothing is undone on backtracking.  Bit x of ``free`` is set while
+    label x is unused, and ``rfree`` mirrors it, with bit |V|+|E|+1-x set
+    while x is unused.  Shifting ``rfree`` lines "label k - c - lu0 is free" up with
     bit c, so a vertex whose first closed edge meets a vertex labelled lu0
     may take exactly the labels ``free & (rfree >> (|V|+|E|+1-k+lu0))``,
     less the one label equal to its own edge label, visited lowest first.
     Its other closed edges are checked one by one.
 
+    Sum check: with k fixed, summing k over all edges and adding the vertex
+    labels gives |E| * k = T + sum of (deg(v) - 1) * f(v), where
+    T = (|V|+|E|)(|V|+|E|+1)/2 is the sum of all labels.  ``r`` is
+    |E| * k - T less the placed vertices' share, so the unplaced vertices,
+    whose labels are distinct free labels, must make up exactly r: a label
+    that leaves r outside ``rest`` (see ``_plan``) times the lowest and the
+    highest free label is dropped, and r must be 0 once ``rest`` is 0.
+
     Forward check: each kid w of v (see ``_plan``) will need a label x with
     x and its edge label k - c - x both free.  Both values lie in that
     symmetric set, and all 2 * kids values of v's kids are distinct, so a
     label c for v that leaves fewer than 2 * kids of them is dropped.  Like
-    the consecutive engine's check, it uses only that labels are distinct.
+    the consecutive engine's checks, both use only the degree-sum identity
+    and that labels are distinct.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
@@ -362,7 +428,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     count = 0
     truncated = False
 
-    def place(i, free, rfree):
+    def place(i, free, rfree, r):
         nonlocal count, truncated
         if i == n:
             count += 1
@@ -372,7 +438,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                 truncated = True
                 return False
             return True
-        v, u0, e0, more, twin, below, above, kids = steps[i]
+        v, u0, e0, more, twin, below, above, dw, rest, kids = steps[i]
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
         cand = free & (rfree >> sh if sh >= 0 else rfree << -sh)
@@ -396,17 +462,25 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                 nrfree ^= 1 << (mirror - x)
                 earr[ei] = x
             else:
+                nr = r - dw * c
+                if rest:
+                    if (nr < rest * ((nfree & -nfree).bit_length() - 1)
+                            or nr > rest * (nfree.bit_length() - 1)):
+                        continue
+                elif nr:
+                    continue
                 if kids:
                     sh = mirror - k + c
                     room = nfree & (nrfree >> sh if sh >= 0 else nrfree << -sh)
                     if room.bit_count() < 2 * kids:
                         continue
                 labels[v] = c
-                if not place(i + 1, nfree, nrfree):
+                if not place(i + 1, nfree, nrfree, nr):
                     return False
         return True
 
-    root, _, _, _, _, _, _, kids = steps[0]
+    root, _, _, _, _, _, _, dw, rest, kids = steps[0]
+    t = total * (total + 1) // 2
     for k in ks:
         for c in pool:
             free = free0 ^ (1 << c)
@@ -416,7 +490,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
             if room.bit_count() < 2 * kids:
                 continue
             labels[root] = c
-            if not place(1, free, rfree):
+            if not place(1, free, rfree, e * k - t - dw * c):
                 break
         if truncated:
             break
@@ -559,16 +633,17 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
     """Backtracking search for graceful labelings over vertex labels 0..|E|.
 
     Differences close as vertices are placed along the shared plan; each
-    must be a fresh value in 1..|E|.  ``limit`` (at least 1, or None for
-    all) keeps the first labelings in search order.  Graphs needing more
-    than ``budget`` labels (default ``DEFAULT_BUDGET``) are refused with
-    :class:`BudgetExceeded`.
+    must be a fresh value in 1..|E|.  ``limit`` (an int of at least 1, or
+    None for all) keeps the first labelings in search order.  Graphs
+    needing more than ``budget`` labels (default ``DEFAULT_BUDGET``) are
+    refused with :class:`BudgetExceeded`.
 
     Bit c of ``free`` is set while label c is unused, bit d of ``fdiff``
     while difference d is unused, and bit |E| - d of its mirror ``rdiff``
     likewise, so a vertex whose first closed edge meets label lu0 may take
     exactly ``free & (fdiff << lu0 | rdiff >> (|E| - lu0))``.
     """
+    _require_int("limit", limit)
     if limit is not None and limit < 1:
         raise SearchError(f"limit must be at least 1, got {limit}")
     _admit(graph, budget)
@@ -583,7 +658,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
         if i == n:
             found.append(VertexLabeling(tuple(labels)))
             return limit is None or len(found) < limit
-        v, u0, _, more, _, _, _, _ = steps[i]
+        v, u0, _, more, _, _, _, _, _, _ = steps[i]
         lu0 = labels[u0]
         cand = free & (fdiff << lu0 | rdiff >> (e - lu0))
         while cand:

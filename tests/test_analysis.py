@@ -8,9 +8,10 @@ from magilab.analysis import (FAIL, OUT_OF_BUDGET, PASS, caterpillar_b_set,
                               double_star_suite, format_report_table,
                               lobster_b_set, lobster_suite,
                               predicted_b_candidates)
-from magilab.graphs import (CaterpillarSpec, bipartition_of, build_caterpillar,
-                            build_complete_bipartite, build_cycle,
-                            build_double_star, build_lobster, build_path)
+from magilab.graphs import (CaterpillarSpec, GraphError, bipartition_of,
+                            build_caterpillar, build_complete_bipartite,
+                            build_cycle, build_double_star, build_lobster,
+                            build_path)
 from magilab.search import SearchError, feasible_b_set
 
 
@@ -49,6 +50,13 @@ def test_constant_form_check():
     assert constant_form_check(1, 1, 12).t == 6
     assert constant_form_check(2, 4, 6).t == 0
     assert constant_form_check(2, 4, 5).t is None
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (-2, 2), (2, -2), (0, 3), (1, 0)])
+def test_constant_form_check_refuses_a_double_star_that_cannot_exist(m, n):
+    # (0, 0) divided by gcd 0, and (-2, 2) passed as gcd 2
+    with pytest.raises(GraphError, match="double star needs m >= 1 and n >= 1"):
+        constant_form_check(m, n, 18)
 
 
 def test_trichotomy_cases():

@@ -149,6 +149,13 @@ def test_analyze_constant_form(capsys):
     assert json.loads(out)["t"] is None
 
 
+@pytest.mark.parametrize("m,n", [("0", "0"), ("-2", "2"), ("1", "0")])
+def test_analyze_constant_form_of_an_impossible_double_star_exits_2(capsys, m, n):
+    code, out, err = run(capsys, "analyze", "constant-form", m, n, "18")
+    assert code == 2
+    assert out == "" and "double star needs m >= 1 and n >= 1" in err
+
+
 def test_suite_closing(capsys):
     code, out, _ = run(capsys, "suite", "closing")
     assert code == 0

@@ -1,6 +1,7 @@
 """The exhaustive search oracle: enumeration, symmetry, budgets."""
 
 from itertools import permutations
+from random import Random
 
 import pytest
 
@@ -13,7 +14,7 @@ from magilab.labelings import classify, consecutive_index_of, is_graceful, magic
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
-                            find_graceful)
+                            find_graceful, _plan)
 
 P3 = build_path(3).graph
 
@@ -72,6 +73,26 @@ def test_limit_truncates():
 def test_limit_below_one_rejected(limit):
     with pytest.raises(SearchError):
         SearchQuery(P3, b=2, limit=limit)
+
+
+P4 = build_path(4).graph
+
+
+@pytest.mark.parametrize("field,value", [
+    ("b", True), ("b", False), ("b", 1.0), ("b", "1"),
+    ("magic_constant", 12.0), ("magic_constant", True),
+    ("limit", 2.5), ("limit", True), ("limit", 1.0),
+])
+def test_query_parameters_must_be_ints(field, value):
+    # b=True was searched as b=1 and limit=2.5 returned 3 labelings
+    with pytest.raises(SearchError, match=f"{field} must be an integer"):
+        SearchQuery(P4, **{field: value})
+
+
+@pytest.mark.parametrize("limit", [1.5, True, 2.0])
+def test_find_graceful_limit_must_be_an_int(limit):
+    with pytest.raises(SearchError, match="limit must be an integer"):
+        find_graceful(P4, limit=limit)
 
 
 def test_magic_constant_filter():
@@ -372,13 +393,15 @@ def _brute_force_edge_magic(graph):
 
     An assignment and k are accepted when the forced edge labels
     k - f(u) - f(v) are distinct and fill the labels the vertices left.
+    Only the k that keep every forced label in 1..|V|+|E| are tried.
     """
     n, total = graph.vertex_count, graph.label_count
     found = set()
     for vl in permutations(range(1, total + 1), n):
         rest = sorted(set(range(1, total + 1)) - set(vl))
-        for k in range(3, 3 * total + 1):
-            el = tuple(k - vl[u] - vl[v] for u, v in graph.edges)
+        sums = [vl[u] + vl[v] for u, v in graph.edges]
+        for k in range(max(sums) + 1, min(sums) + total + 1):
+            el = tuple(k - s for s in sums)
             if sorted(el) == rest:
                 found.add((vl, el, k))
     return found
@@ -429,3 +452,49 @@ def test_canonical_only_keeps_twins_in_index_order(handle):
     full = find_edge_magic(SearchQuery(g))
     canon = find_edge_magic(SearchQuery(g, canonical_only=True))
     assert full.labelings and list(canon.labelings) == ordered(full)
+
+
+# ---------------------------------------------------------------------------
+# the placement plan
+# ---------------------------------------------------------------------------
+
+def _relabelled(graph, perm):
+    """The same graph with vertex v renamed perm[v]."""
+    return Graph(graph.vertex_count,
+                 tuple(tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges))
+
+
+# C5 with a pendant leaf on two of its vertices, and K2,3 with one leaf
+_C5_LEAVES = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 6)))
+_K23_LEAF = Graph(6, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (4, 5)))
+PLAN_GRAPHS = [build_path(2).graph, build_path(3).graph, build_star(4).graph,
+               build_double_star(2, 3).graph,
+               build_caterpillar(CaterpillarSpec(3, (2, 0, 1))).graph,
+               build_caterpillar(CaterpillarSpec(4, (1, 3, 0, 2))).graph,
+               build_caterpillar(CaterpillarSpec(5, (0, 1, 0, 1, 0))).graph,
+               _C5_LEAVES, _K23_LEAF]
+_PLAN_IDS = ["K2", "P3", "K1,4", "DS2,3", "CS2,0,1", "CS1,3,0,2", "CS0,1,0,1,0",
+             "C5+leaves", "K2,3+leaf"]
+
+
+@pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
+@pytest.mark.parametrize("graph", PLAN_GRAPHS, ids=_PLAN_IDS)
+def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel):
+    n = graph.vertex_count
+    perm = list(range(n))
+    if relabel == "reversed":
+        perm.reverse()
+    elif relabel == "shuffled":
+        Random(n).shuffle(perm)
+    g = _relabelled(graph, perm)
+    steps = _plan(g, True)
+    order = [step[0] for step in steps]
+    assert sorted(order) == list(range(n))
+    degree = [len(g.adjacency[v]) for v in order]
+    # every vertex of degree >= 2 comes before every leaf
+    assert degree == sorted(degree, key=lambda d: d < 2)
+    pos = {v: i for i, v in enumerate(order)}
+    assert steps[0][1] is None
+    for i, step in enumerate(steps[1:], 1):
+        assert step[1] is not None and pos[step[1]] < i
+    assert sum(step[-1] for step in steps) == n - 1
