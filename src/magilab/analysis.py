@@ -274,21 +274,19 @@ class SuiteLimitError(ValueError):
     """A suite limit so small that the suite would check nothing."""
 
 
-def _require_at_least(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise SuiteLimitError(f"{name} must be at least {least}, got {value}")
-
-
 def caterpillar_suite(max_labels: int = 19,
                       budget: Optional[int] = None) -> list[TheoremReport]:
     """Both directions of the caterpillar feasibility characterization.
 
     Every caterpillar spec with |V|+|E| <= max_labels is checked; specs
     describing isomorphic trees share one exhaustive search, and each
-    spelling's predicted set must match it.  A cap below 3, the label
-    count of P2, the smallest caterpillar, would check nothing and raises.
+    spelling's predicted set must match it.  A cap that is not an int, or
+    is below 3, the label count of P2, the smallest caterpillar, raises.
     """
-    _require_at_least("max_labels", max_labels, 3)
+    if type(max_labels) is not int:
+        raise SuiteLimitError(f"max_labels must be an integer, got {max_labels!r}")
+    if max_labels < 3:
+        raise SuiteLimitError(f"max_labels must be at least 3, got {max_labels}")
     max_vertices = (max_labels + 1) // 2
     groups: dict[str, list[CaterpillarSpec]] = {}
     handles: dict[str, Graph] = {}
@@ -315,25 +313,17 @@ def caterpillar_suite(max_labels: int = 19,
     return reports
 
 
-def lobster_suite(max_p: int = 4, budget: Optional[int] = None) -> list[TheoremReport]:
-    """Feasible offsets for L_1..L_max_p plus the gracefulness of L_4.
+def lobster_suite(budget: Optional[int] = None) -> list[TheoremReport]:
+    """Feasible offsets for L_1..L_4 plus the gracefulness of L_4."""
+    reports = [_feasible_report("lobster-feasible", f"L_{p}", build_lobster(p).graph,
+                                lobster_b_set(p), budget) for p in range(1, 5)]
 
-    ``max_p`` below 1 would check nothing and raises.
-    """
-    _require_at_least("max_p", max_p, 1)
-    reports = []
-    for p in range(1, max_p + 1):
-        handle = build_lobster(p)
-        reports.append(_feasible_report("lobster-feasible", f"L_{p}",
-                                        handle.graph, lobster_b_set(p), budget))
-    if max_p >= 4:
-        def graceful_check():
-            found = find_graceful(build_lobster(4).graph, limit=1, budget=budget)
-            if not found:
-                return "none", FAIL, ""
-            return "found", PASS, f"vertex labels {list(found[0].vertex_labels)}"
-        reports.append(_row("lobster-graceful", "L_4", "graceful labeling exists",
-                            graceful_check))
+    def graceful_check():
+        found = find_graceful(build_lobster(4).graph, limit=1, budget=budget)
+        if not found:
+            return "none", FAIL, ""
+        return "found", PASS, f"vertex labels {list(found[0].vertex_labels)}"
+    reports.append(_row("lobster-graceful", "L_4", "graceful labeling exists", graceful_check))
     return reports
 
 

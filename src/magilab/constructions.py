@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import count
 from typing import Optional
 
-from .graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_double_star,
+from .graphs import (Bipartition, CaterpillarSpec, Graph, GraphError, bipartition_of,
                      is_connected)
 from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
 
@@ -63,33 +63,27 @@ def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:
     center with n leaves carries the low-block value (m+1 or 1) and the
     center with m leaves the matching high-block value; leaf labels fill the
     remaining block values in ascending leaf order, and edge labels are then
-    forced by the constant.
+    forced by the constant.  Variant 1 is the beta form of the caterpillar
+    S_{m,n}.  Variant 2 is written in its canonical vertex order (c1, its m
+    leaves, c2, its n leaves), whose edges are c1's m + 1 and then c2's n.
     """
     if variant not in (1, 2):
         raise ConstructionError("variant must be 1 or 2")
-    handle = build_double_star(m, n)
-    graph = handle.graph
-    names = handle.name_map
-    k = 4 * m + 2 * n + 6
+    if m < 1 or n < 1:
+        raise GraphError("double star needs m >= 1 and n >= 1")
+    spec = CaterpillarSpec(2, (m, n))  # rejects non-integer sizes
     if variant == 1:
-        low_center, high_center = m + 1, 2 * m + n + 3
-    else:
-        low_center, high_center = 1, 2 * m + 2 * n + 3
+        return caterpillar_beta_labeling(spec)
+    top, k = 2 * m + 2 * n + 3, 4 * m + 2 * n + 6
+    vl = (top, *range(2, m + 2), 1, *range(top - n, top))
+    el = [k - top - x for x in vl[1:m + 2]] + [k - 1 - x for x in vl[m + 2:]]
+    return TotalLabeling(vl, tuple(el))
 
-    vl = [0] * graph.vertex_count
-    vl[names["c1"]] = high_center
-    vl[names["c2"]] = low_center
-    low_leaves = sorted(set(range(1, m + 2)) - {low_center})
-    high_leaves = sorted(set(range(2 * m + n + 3, 2 * m + 2 * n + 4)) - {high_center})
-    for j in range(1, m + 1):
-        vl[names[f"c1_{j}"]] = low_leaves[j - 1]
-    for j in range(1, n + 1):
-        vl[names[f"c2_{j}"]] = high_leaves[j - 1]
 
-    el = [0] * graph.edge_count
-    for i, (u, v) in enumerate(graph.edges):
-        el[i] = k - vl[u] - vl[v]
-    return TotalLabeling(tuple(vl), tuple(el))
+def _slide(labeling: TotalLabeling, b: int, n: int, e: int) -> TotalLabeling:
+    """Slide the vertex labels above b down by |E| and the edge labels up by |V| - b."""
+    return TotalLabeling(tuple(x if x <= b else x - e for x in labeling.vertex_labels),
+                         tuple(x + n - b for x in labeling.edge_labels))
 
 
 def caterpillar_super_labeling(spec: CaterpillarSpec) -> TotalLabeling:
@@ -97,13 +91,10 @@ def caterpillar_super_labeling(spec: CaterpillarSpec) -> TotalLabeling:
 
     Obtained from the beta-offset labeling by sliding the high vertex block
     (side X, the labels above beta) down next to the low block and pushing
-    the edge block above both.
+    the edge block above both, as :func:`to_super_edge_magic` does.
     """
-    lam = caterpillar_beta_labeling(spec)
-    alpha, beta = spec.alpha, spec.beta
-    vl = [x - (alpha + beta - 1) if x > beta else x for x in lam.vertex_labels]
-    el = [x + alpha for x in lam.edge_labels]
-    return TotalLabeling(tuple(vl), tuple(el))
+    n = spec.vertex_count
+    return _slide(caterpillar_beta_labeling(spec), spec.beta, n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +114,12 @@ def dual(graph: Graph, labeling: TotalLabeling) -> TotalLabeling:
                          tuple(top - x for x in labeling.edge_labels))
 
 
-def _block_structure(graph: Graph, labeling: TotalLabeling):
-    """Return (b, k, small_side_set) for a consecutive edge-magic labeling.
+def _block_structure(graph: Graph, labeling: TotalLabeling) -> int:
+    """Return the offset b of a consecutive edge-magic labeling.
 
-    ``small_side_set`` collects the vertices labeled 1..b.  For 0 < b < |V|
-    every edge must cross it, otherwise the block reflections would not
-    stay magic; inputs violating that are rejected.
+    The low block holds the vertex labels 1..b.  For 0 < b < |V| every edge
+    must join it to the high block, otherwise the block reflections would
+    not stay magic; inputs violating that are rejected.
     """
     k = magic_constant_of(graph, labeling)
     if k is None:
@@ -137,23 +128,26 @@ def _block_structure(graph: Graph, labeling: TotalLabeling):
     if b is None:
         raise ConstructionError("input labeling is not consecutive edge-magic")
     vl = labeling.vertex_labels
-    small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
     if 0 < b < graph.vertex_count:
         for u, v in graph.edges:
-            if (u in small) == (v in small):
+            if (vl[u] <= b) == (vl[v] <= b):
                 raise ConstructionError(
                     "vertex labels do not split into one block per partite side")
-    return b, k, small
+    return b
 
 
-def _resolve_sides(graph: Graph, small: frozenset,
+def _resolve_sides(graph: Graph, labeling: TotalLabeling, b: int,
                    bipartition: Optional[Bipartition]) -> LambdaStarCase:
+    """Name the partite side that holds the low block 1..b, for 0 < b < |V|.
+
+    The low block's edge check has already 2-coloured the graph, so a
+    connected one always has a bipartition.
+    """
     if bipartition is None:
         if not is_connected(graph):
             raise ConstructionError("cannot name partite sides of a disconnected graph")
         bipartition = bipartition_of(graph)
-        if bipartition is None:
-            raise ConstructionError("graph is not bipartite")
+    small = frozenset(v for v, x in enumerate(labeling.vertex_labels) if x <= b)
     if small == bipartition.side_x:
         return LambdaStarCase.B_X
     if small == bipartition.side_y:
@@ -164,12 +158,12 @@ def _resolve_sides(graph: Graph, small: frozenset,
 def lambda_star_case(graph: Graph, labeling: TotalLabeling,
                      bipartition: Optional[Bipartition] = None) -> LambdaStarCase:
     """Which of the four admissible offsets the labeling realizes."""
-    b, _, small = _block_structure(graph, labeling)
+    b = _block_structure(graph, labeling)
     if b == 0:
         return LambdaStarCase.B_ZERO
     if b == graph.vertex_count:
         return LambdaStarCase.B_FULL
-    return _resolve_sides(graph, small, bipartition)
+    return _resolve_sides(graph, labeling, b, bipartition)
 
 
 def lambda_star(graph: Graph, labeling: TotalLabeling,
@@ -184,7 +178,7 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     5b+(|V|-b)+3|E|+3-k when b is a side's size.
     """
     n, e = graph.vertex_count, graph.edge_count
-    b, _, small = _block_structure(graph, labeling)
+    b = _block_structure(graph, labeling)
     vl = labeling.vertex_labels
     el = labeling.edge_labels
     if b == 0:
@@ -195,21 +189,19 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
         new_e = [2 * n + e + 1 - x for x in el]
     else:
         # validates that the low block is a partite side (and names it)
-        _resolve_sides(graph, small, bipartition)
-        s, o = b, n - b
-        new_v = [(s + 1 - vl[v]) if v in small else (2 * s + o + 2 * e + 1 - vl[v])
-                 for v in range(n)]
-        new_e = [2 * s + e + 1 - x for x in el]
+        _resolve_sides(graph, labeling, b, bipartition)
+        new_v = [b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]
+        new_e = [2 * b + e + 1 - x for x in el]
     return TotalLabeling(tuple(new_v), tuple(new_e))
 
 
-def _side_split(graph: Graph, labeling: TotalLabeling):
-    """Block data for the side-offset transforms; rejects b in {0, |V|}."""
-    b, k, small = _block_structure(graph, labeling)
+def _side_split(graph: Graph, labeling: TotalLabeling) -> int:
+    """The offset b for the side-offset transforms; rejects b in {0, |V|}."""
+    b = _block_structure(graph, labeling)
     if b == 0 or b == graph.vertex_count:
         raise ConstructionError(
             f"offset b={b} does not single out a partite side")
-    return b, k, small
+    return b
 
 
 def to_graceful(graph: Graph, labeling: TotalLabeling,
@@ -219,12 +211,9 @@ def to_graceful(graph: Graph, labeling: TotalLabeling,
     The side holding {1..b} drops to {0..b-1}; the other side folds down so
     that adjacent differences sweep 1..|E| exactly.
     """
-    b, _, small = _side_split(graph, labeling)
-    n, e = graph.vertex_count, graph.edge_count
-    s, o = b, n - b
-    vl = labeling.vertex_labels
-    out = [(vl[v] - 1) if v in small else (e + 2 * s + o - vl[v]) for v in range(n)]
-    return VertexLabeling(tuple(out))
+    b = _side_split(graph, labeling)
+    top = graph.edge_count + b + graph.vertex_count
+    return VertexLabeling(tuple(x - 1 if x <= b else top - x for x in labeling.vertex_labels))
 
 
 def to_super_edge_magic(graph: Graph, labeling: TotalLabeling,
@@ -234,10 +223,5 @@ def to_super_edge_magic(graph: Graph, labeling: TotalLabeling,
     Turns a side-offset consecutive magic labeling into a super edge-magic
     one (offset |V|), shifting the constant by |other side| - |E|.
     """
-    b, _, small = _side_split(graph, labeling)
-    n, e = graph.vertex_count, graph.edge_count
-    o = n - b
-    vl = labeling.vertex_labels
-    new_v = [vl[v] if v in small else vl[v] - e for v in range(n)]
-    new_e = [x + o for x in labeling.edge_labels]
-    return TotalLabeling(tuple(new_v), tuple(new_e))
+    b = _side_split(graph, labeling)
+    return _slide(labeling, b, graph.vertex_count, graph.edge_count)

@@ -330,10 +330,16 @@ def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
 # ---------------------------------------------------------------------------
 
 def is_connected(graph: Graph) -> bool:
-    """True iff a single component covers every vertex (K_1 counts)."""
+    """True iff a single component covers every vertex (K_1 counts).
+
+    Fewer than |V| - 1 edges cannot connect |V| vertices; that answer costs
+    no adjacency, so it does not grow with |V|.
+    """
     n = graph.vertex_count
     if n <= 1:
         return True
+    if graph.edge_count < n - 1:
+        return False
     adj = graph.adjacency
     seen = [False] * n
     seen[0] = True
@@ -422,10 +428,10 @@ def graph_from_dict(data: dict):
     if not isinstance(family, dict):
         raise GraphError(f"bad graph record: family {family!r} is not an object")
     kind = family.get("kind")
-    builder = _FAMILY_BUILDERS.get(kind)
-    if builder is None:
-        return graph
-    try:
+    try:  # an unhashable kind fails the lookup with TypeError
+        builder = _FAMILY_BUILDERS.get(kind)
+        if builder is None:
+            return graph
         handle = builder(family)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"bad family descriptor for kind {kind!r}: {exc}") from exc

@@ -59,10 +59,17 @@ class BudgetExceeded(RuntimeError):
     """Explicit refusal: the requested exhaustive sweep exceeds the label budget."""
 
 
-def _require_int(name: str, value) -> None:
-    """Reject a search parameter that is not exactly an int: no True or 1.0."""
-    if value is not None and type(value) is not int:
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Reject a search parameter that is not exactly an int, or is below ``least``.
+
+    ``True`` and ``1.0`` are not ints here.  None passes: the parameter is unset.
+    """
+    if value is None:
+        return
+    if type(value) is not int:
         raise SearchError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise SearchError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,8 @@ class SearchQuery:
     when given, stops the search after that many labelings (at least 1):
     the first ones in search order, which need not have the lowest k.
     ``b``, ``magic_constant`` and ``limit`` must be exactly ``int`` (or
-    None): ``True`` or ``1.0`` raise :class:`SearchError`.
+    None) and ``canonical_only`` exactly ``bool``: ``True`` for ``b``,
+    ``1.0`` or ``"no"`` raise :class:`SearchError`.
     """
 
     graph: Graph
@@ -86,12 +94,13 @@ class SearchQuery:
     canonical_only: bool = False
 
     def __post_init__(self):
-        for name in ("b", "magic_constant", "limit"):
-            _require_int(name, getattr(self, name))
+        _require_int("b", self.b)
+        _require_int("magic_constant", self.magic_constant)
+        _require_int("limit", self.limit, 1)
+        if type(self.canonical_only) is not bool:
+            raise SearchError(f"canonical_only must be a bool, got {self.canonical_only!r}")
         if self.b is not None and not 0 <= self.b <= self.graph.vertex_count:
             raise SearchError(f"b={self.b} outside 0..{self.graph.vertex_count}")
-        if self.limit is not None and self.limit < 1:
-            raise SearchError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -185,33 +194,23 @@ def _plan(graph: Graph, canonical_only: bool):
     return [step + (kids[step[0]],) for step in steps]
 
 
-def _k_window(graph: Graph, b: Optional[int], pool: list[int], elo: int, ehi: int):
+def _k_window(graph: Graph, labels: list[int]):
     """Integer window of conceivable magic constants.
 
-    Summing k over all edges gives e*k = sum(deg(v)*label(v)) + sum of edge
-    labels; pairing extreme degrees with extreme pool labels bounds the
-    first term.  A per-edge extreme bound is intersected on top.
+    Summing k over all edges and adding each vertex label once gives
+    |E| * k = T + sum of (deg(v) - 1) * f(v), where T is the sum of all
+    labels.  The vertex labels are distinct values from ``labels``
+    (ascending) and no weight is negative in a connected graph with an
+    edge, so pairing the weights, largest first, with ``labels`` ascending
+    bounds the second term from below, and with ``labels`` descending from
+    above.  Consecutive searches pass their vertex pool, edge-magic ones
+    1..|V|+|E|.
     """
-    n, e = graph.vertex_count, graph.edge_count
-    degrees = sorted((graph.degree(v) for v in range(n)), reverse=True)
-    if b is not None:
-        edge_sum = e * b + e * (e + 1) // 2
-        dmin = sum(d * pool[i] for i, d in enumerate(degrees))
-        dmax = sum(d * pool[n - 1 - i] for i, d in enumerate(degrees))
-        klo = -((-(dmin + edge_sum)) // e)
-        khi = (dmax + edge_sum) // e
-    else:
-        total = graph.label_count
-        t = total * (total + 1) // 2
-        weights = sorted((d - 1 for d in degrees), reverse=True)
-        wmin = sum(w * (i + 1) for i, w in enumerate(weights))
-        wmax = sum(w * (total - i) for i, w in enumerate(weights))
-        klo = -((-(t + wmin)) // e)
-        khi = (t + wmax) // e
-    if n >= 2:
-        klo = max(klo, pool[0] + pool[1] + elo)
-        khi = min(khi, pool[-1] + pool[-2] + ehi)
-    return klo, khi
+    t = graph.label_count * (graph.label_count + 1) // 2
+    weights = sorted((graph.degree(v) - 1 for v in range(graph.vertex_count)), reverse=True)
+    low = sum(w * x for w, x in zip(weights, labels))
+    high = sum(w * x for w, x in zip(weights, reversed(labels)))
+    return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
 
 
 def _report(sols: list, constants, count: int, truncated: bool, b: Optional[int]) -> SearchReport:
@@ -222,13 +221,11 @@ def _report(sols: list, constants, count: int, truncated: bool, b: Optional[int]
 
 
 def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
-                           limit: Optional[int], canonical_only: bool,
-                           steps: Optional[list] = None) -> SearchReport:
+                           limit: Optional[int], steps: list) -> SearchReport:
     """Sum-window DFS: every consecutive labeling at offset b, with no loop over k.
 
-    The graph needs an edge.  ``steps`` is ``_plan(graph, canonical_only)``,
-    built here, after the exit for an empty constant window, unless the
-    caller passes it (a sweep over offsets builds it once).
+    The graph needs an edge.  ``steps`` is the caller's ``_plan`` of it (a
+    sweep over offsets builds it once).
 
     Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
     never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
@@ -265,13 +262,11 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
-    klo, khi = _k_window(graph, b, pool, b + 1, b + e)
+    klo, khi = _k_window(graph, pool)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
         return _report([], (), 0, False, b)
-    if steps is None:
-        steps = _plan(graph, canonical_only)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top = pool[-1] + pool[-2]
@@ -412,7 +407,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     if e == 0:
         return _report([], (), 0, False, None)
     pool = list(range(1, total + 1))
-    klo, khi = _k_window(graph, None, pool, 1, total)
+    klo, khi = _k_window(graph, pool)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
@@ -503,7 +498,9 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
 # ---------------------------------------------------------------------------
 
 def _admit(graph: Graph, budget: Optional[int]) -> None:
-    """The one entry check of every search: a connected graph, then the budget."""
+    """The one entry check of every search: a budget of at least 1 (or None),
+    a connected graph, then the budget against its label count."""
+    _require_int("budget", budget, 1)
     if not is_connected(graph):
         raise SearchError("search requires a connected graph")
     cap = DEFAULT_BUDGET if budget is None else budget
@@ -517,7 +514,8 @@ def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> Search
     """All labelings with edge-label block {b+1 .. b+|E|} and constant sums.
 
     Graphs needing more labels than ``budget`` (default ``DEFAULT_BUDGET``)
-    are refused with :class:`BudgetExceeded`.
+    are refused with :class:`BudgetExceeded`; a budget that is not an int
+    of at least 1 raises :class:`SearchError`, as in every search.
     """
     graph = query.graph
     if query.b is None:
@@ -526,7 +524,7 @@ def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> Search
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
     return _enumerate_consecutive(graph, query.b, query.magic_constant, query.limit,
-                                  query.canonical_only)
+                                  _plan(graph, query.canonical_only))
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
@@ -551,7 +549,7 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
         return set()
     steps = _plan(graph, True)
     return {b for b in range(graph.vertex_count + 1)
-            if _enumerate_consecutive(graph, b, None, 1, True, steps).solution_count}
+            if _enumerate_consecutive(graph, b, None, 1, steps).solution_count}
 
 
 def count_canonical(graph: Graph, b: int,
@@ -643,9 +641,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
     likewise, so a vertex whose first closed edge meets label lu0 may take
     exactly ``free & (fdiff << lu0 | rdiff >> (|E| - lu0))``.
     """
-    _require_int("limit", limit)
-    if limit is not None and limit < 1:
-        raise SearchError(f"limit must be at least 1, got {limit}")
+    _require_int("limit", limit, 1)
     _admit(graph, budget)
     n, e = graph.vertex_count, graph.edge_count
     if n == 0:

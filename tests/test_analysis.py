@@ -2,12 +2,12 @@
 
 import pytest
 
-from magilab.analysis import (FAIL, OUT_OF_BUDGET, PASS, caterpillar_b_set,
-                              caterpillar_suite, classify_trichotomy,
-                              closing_claims_suite, constant_form_check,
-                              double_star_suite, format_report_table,
-                              lobster_b_set, lobster_suite,
-                              predicted_b_candidates)
+from magilab.analysis import (FAIL, OUT_OF_BUDGET, PASS, SuiteLimitError,
+                              caterpillar_b_set, caterpillar_suite,
+                              classify_trichotomy, closing_claims_suite,
+                              constant_form_check, double_star_suite,
+                              format_report_table, lobster_b_set,
+                              lobster_suite, predicted_b_candidates)
 from magilab.graphs import (CaterpillarSpec, GraphError, bipartition_of,
                             build_caterpillar, build_complete_bipartite,
                             build_cycle, build_double_star, build_lobster,
@@ -116,11 +116,23 @@ def test_caterpillar_suite_small():
 @pytest.mark.parametrize("suite,kwargs,named", [
     (caterpillar_suite, {"max_labels": 2}, "max_labels must be at least 3, got 2"),
     (caterpillar_suite, {"max_labels": -5}, "max_labels must be at least 3, got -5"),
-    (lobster_suite, {"max_p": 0}, "max_p must be at least 1, got 0"),
 ])
 def test_suite_limit_below_range_raises(suite, kwargs, named):
     with pytest.raises(ValueError, match=named):
         suite(**kwargs)
+
+
+@pytest.mark.parametrize("max_labels", [5.5, 9.0, True, "9", None])
+def test_caterpillar_suite_limit_must_be_an_int(max_labels):
+    with pytest.raises(SuiteLimitError, match="max_labels must be an integer"):
+        caterpillar_suite(max_labels=max_labels)
+
+
+@pytest.mark.parametrize("budget", [0, True, 2.5])
+def test_suite_budget_must_be_a_positive_int(budget):
+    # a refused budget raises out of the suite instead of marking rows out-of-budget
+    with pytest.raises(SearchError, match="budget must be"):
+        lobster_suite(budget=budget)
 
 
 def test_feasible_subset_of_predicted():

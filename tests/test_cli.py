@@ -251,6 +251,17 @@ def test_search_non_object_family_exits_2(tmp_path, capsys, family):
     assert out == "" and "is not an object" in err
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_search_unhashable_family_kind_exits_2(tmp_path, capsys, kind):
+    record = build_lobster(1).to_dict()
+    record["family"] = {"kind": kind}
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(record))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
+    assert code == 2
+    assert out == "" and "bad family descriptor for kind" in err
+
+
 def test_search_single_offset_budget(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "lobster", "-p", "3", "-o", str(gpath))  # 13 labels

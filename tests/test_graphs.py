@@ -147,6 +147,14 @@ def test_is_connected():
     assert is_connected(Graph(1, ()))
 
 
+def test_is_connected_counts_edges_before_building_adjacency():
+    g = Graph(10**6)
+    assert not is_connected(g)
+    assert "adjacency" not in vars(g)
+    # |E| = |V| - 1 with a cycle still needs the walk
+    assert not is_connected(Graph(5, ((0, 1), (0, 2), (1, 2), (3, 4))))
+
+
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_odd_spine_ends_sit_in_x(r):
     # for an odd spine both end vertices are odd positions, hence side X,
@@ -271,6 +279,14 @@ def test_json_family_must_be_an_object(family):
     record = build_path(3).to_dict()
     record["family"] = family
     with pytest.raises(GraphError, match="is not an object"):
+        graph_from_dict(record)
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_json_family_kind_must_be_hashable(kind):
+    record = build_path(3).to_dict()
+    record["family"] = {"kind": kind}
+    with pytest.raises(GraphError, match="bad family descriptor for kind"):
         graph_from_dict(record)
 
 

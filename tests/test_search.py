@@ -14,7 +14,7 @@ from magilab.labelings import classify, consecutive_index_of, is_graceful, magic
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
-                            find_graceful, _plan)
+                            find_graceful, _k_window, _plan)
 
 P3 = build_path(3).graph
 
@@ -93,6 +93,30 @@ def test_query_parameters_must_be_ints(field, value):
 def test_find_graceful_limit_must_be_an_int(limit):
     with pytest.raises(SearchError, match="limit must be an integer"):
         find_graceful(P4, limit=limit)
+
+
+@pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+def test_canonical_only_must_be_a_bool(value):
+    # canonical_only="no" was taken as true and returned 1 of K1,3's 6 labelings at b=3
+    with pytest.raises(SearchError, match="canonical_only must be a bool"):
+        SearchQuery(build_star(3).graph, b=3, canonical_only=value)
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, budget: find_consecutive(SearchQuery(g, b=1), budget=budget),
+    lambda g, budget: find_edge_magic(SearchQuery(g), budget=budget),
+    lambda g, budget: feasible_b_set(g, budget=budget),
+    lambda g, budget: find_graceful(g, budget=budget),
+], ids=["find_consecutive", "find_edge_magic", "feasible_b_set", "find_graceful"])
+@pytest.mark.parametrize("budget,named", [
+    (0, "budget must be at least 1, got 0"), (-1, "budget must be at least 1, got -1"),
+    (True, "budget must be an integer"), (2.5, "budget must be an integer"),
+    (22.0, "budget must be an integer"),
+])
+def test_budget_must_be_an_int_of_at_least_1(search, budget, named):
+    # budget=True acted as 1, 2.5 as a cap, and 0 raised BudgetExceeded
+    with pytest.raises(SearchError, match=named):
+        search(P3, budget)
 
 
 def test_magic_constant_filter():
@@ -498,3 +522,32 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     for i, step in enumerate(steps[1:], 1):
         assert step[1] is not None and pos[step[1]] < i
     assert sum(step[-1] for step in steps) == n - 1
+
+
+# Small graphs (at most 13 labels) on which the constant window is pinned.
+WINDOW_GRAPHS = ([build_path(n) for n in range(2, 7)] + [build_star(p) for p in range(2, 5)]
+                 + [build_cycle(n) for n in range(3, 7)]
+                 + [build_complete_bipartite(2, 2), build_complete_bipartite(2, 3),
+                    build_double_star(1, 2)])
+
+
+def test_k_window_holds_every_constant_and_both_ends_are_attained():
+    """Every constant found lies in the degree-sum window, and both ends are found.
+
+    So the window is tight: widening either end by one fails here, and
+    narrowing it fails the brute-force engine tests.
+    """
+    low_hits = high_hits = 0
+    for handle in WINDOW_GRAPHS:
+        g = handle.graph
+        n, e = g.vertex_count, g.edge_count
+        searches = [(range(1, n + e + 1), find_edge_magic(SearchQuery(g)))]
+        for b in range(n + 1):
+            pool = [*range(1, b + 1), *range(b + e + 1, n + e + 1)]
+            searches.append((pool, find_consecutive(SearchQuery(g, b=b))))
+        for labels, report in searches:
+            klo, khi = _k_window(g, list(labels))
+            assert all(klo <= k <= khi for k in report.constants_found)
+            low_hits += klo in report.constants_found
+            high_hits += khi in report.constants_found
+    assert low_hits and high_hits
