@@ -196,7 +196,10 @@ def closing_claims_suite(budget: Optional[int] = None) -> list[TheoremReport]:
     claim is contested: the dual argument says an offset-0 labeling exists
     iff an offset-|V| one does, and even cycles admit no super labeling.
     The suite therefore records the searched answer and passes on internal
-    consistency of that equivalence rather than on either reading.
+    consistency of that equivalence rather than on either reading.  Those
+    rows search b = 0 and b = |V| themselves: ``feasible_b_set`` answers
+    the offsets above |V|/2 by that very equivalence, so reading its set
+    would grade the equivalence against itself.
     """
     reports: list[TheoremReport] = []
     for length in (3, 5, 7):
@@ -205,8 +208,11 @@ def closing_claims_suite(budget: Optional[int] = None) -> list[TheoremReport]:
                                         {0, length}, budget))
     for length in (4, 6):
         def even_check():
-            observed = feasible_b_set(build_cycle(length).graph, budget=budget)
-            consistent = (0 in observed) == (length in observed)
+            graph = build_cycle(length).graph
+            observed = feasible_b_set(graph, budget=budget)
+            ends = [find_consecutive(SearchQuery(graph, b=b, limit=1),
+                                     budget=budget).solution_count > 0 for b in (0, length)]
+            consistent = ends[0] == ends[1]
             return (consistent, _verdict(True, consistent),
                     f"feasible={sorted(observed)}; even-cycle existence claim "
                     f"treated as suspected typo, checking 0-feasible iff |V|-feasible")

@@ -394,22 +394,29 @@ def _int_param(family: dict, key: str) -> int:
     return value
 
 
-def _caterpillar_from(family: dict) -> FamilyHandle:
+def _ints(*keys):
+    """Descriptor parser for a family whose parameters are plain ints."""
+    return lambda family: tuple(_int_param(family, key) for key in keys)
+
+
+def _caterpillar_spec(family: dict) -> tuple:
     counts = family["leaf_counts"]
     if not isinstance(counts, (list, tuple)):
         raise GraphError(f"bad family descriptor: leaf_counts={counts!r} is not a list of integers")
-    return build_caterpillar(CaterpillarSpec(len(counts), tuple(counts)))
+    return (CaterpillarSpec(len(counts), tuple(counts)),)
 
 
-_FAMILY_BUILDERS = {
-    "caterpillar": _caterpillar_from,
-    "double_star": lambda f: build_double_star(_int_param(f, "m"), _int_param(f, "n")),
-    "lobster": lambda f: build_lobster(_int_param(f, "p")),
-    "cycle": lambda f: build_cycle(_int_param(f, "length")),
-    "path": lambda f: build_path(_int_param(f, "n")),
-    "star": lambda f: build_star(_int_param(f, "p")),
-    "complete_bipartite": lambda f: build_complete_bipartite(_int_param(f, "m"),
-                                                             _int_param(f, "n")),
+# kind: (descriptor parser, the (|V|, |E|) its parameters imply, builder)
+_FAMILIES = {
+    "caterpillar": (_caterpillar_spec, lambda spec: (spec.vertex_count, spec.vertex_count - 1),
+                    build_caterpillar),
+    "double_star": (_ints("m", "n"), lambda m, n: (m + n + 2, m + n + 1), build_double_star),
+    "lobster": (_ints("p"), lambda p: (2 * p + 1, 2 * p), build_lobster),
+    "cycle": (_ints("length"), lambda length: (length, length), build_cycle),
+    "path": (_ints("n"), lambda n: (n, n - 1), build_path),
+    "star": (_ints("p"), lambda p: (p + 1, p), build_star),
+    "complete_bipartite": (_ints("m", "n"), lambda m, n: (m + n, m * n),
+                           build_complete_bipartite),
 }
 
 
@@ -419,7 +426,10 @@ def graph_from_dict(data: dict):
     Returns a :class:`FamilyHandle` when a known family descriptor is
     present (the graph is rebuilt from its parameters and must match the
     serialized edge list, and so must the ``names`` and ``side_x`` the
-    descriptor carries, if any), otherwise a bare :class:`Graph`.
+    descriptor carries, if any), otherwise a bare :class:`Graph`.  The
+    vertex and edge counts the parameters imply are compared with the
+    record's before anything is built, so the work stays proportional to
+    the record's size whatever the parameters ask for.
     """
     graph = Graph.from_dict(data)
     family = data.get("family")
@@ -429,13 +439,16 @@ def graph_from_dict(data: dict):
         raise GraphError(f"bad graph record: family {family!r} is not an object")
     kind = family.get("kind")
     try:  # an unhashable kind fails the lookup with TypeError
-        builder = _FAMILY_BUILDERS.get(kind)
-        if builder is None:
+        entry = _FAMILIES.get(kind)
+        if entry is None:
             return graph
-        handle = builder(family)
+        parse, size, build = entry
+        params = parse(family)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"bad family descriptor for kind {kind!r}: {exc}") from exc
-    if handle.graph != graph:
+    # the sizes first: they cost nothing, and building may cost what the parameters ask
+    if (size(*params) != (graph.vertex_count, graph.edge_count)
+            or (handle := build(*params)).graph != graph):
         raise GraphError("family descriptor does not reproduce the serialized edges")
     rebuilt = {"names": handle.name_map}
     if handle.bipartition is not None:

@@ -13,6 +13,12 @@ Muntaner-Batle, Discrete Math. 231, 2001.)  Summing the magic condition
 over all edges bounds k through the degree-weighted label sum; that window
 becomes a range of admissible sums, and no sum outside it is ever free.
 
+``feasible_b_set`` searches only the offsets b <= |V|/2 and mirrors the
+answers: complementing every label maps the consecutive labelings at b onto
+those at |V| - b (``constructions.dual``), so b and |V| - b are feasible
+together by definition.  The mirror grades no theorem, and each mirrored
+absent offset inherits the exhaustive search of its partner.
+
 Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
 
@@ -539,17 +545,24 @@ def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchR
 def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     """Every offset b for which some consecutive magic labeling exists.
 
-    Each offset's search stops at its first witness labeling.  An offset
-    without one is searched to exhaustion (with twin symmetry broken, which
-    cannot change satisfiability), so absent values are certified absent.
-    One placement plan serves every offset.
+    Only the offsets b <= |V|/2 are searched; each b above is answered by
+    its mirror |V| - b.  That is the definition, not a theorem: complementing
+    every label, z -> |V|+|E|+1-z (``constructions.dual``), maps the
+    consecutive labelings at b one-to-one onto those at |V| - b, so the two
+    offsets are feasible together.  Each searched offset stops at its first
+    witness labeling.  One without one is searched to exhaustion (with twin
+    symmetry broken, which cannot change satisfiability), so it is certified
+    absent, and the bijection carries that certificate to its mirror.  One
+    placement plan serves every offset.
     """
     _admit(graph, budget)
     if graph.edge_count == 0:
         return set()
+    n = graph.vertex_count
     steps = _plan(graph, True)
-    return {b for b in range(graph.vertex_count + 1)
-            if _enumerate_consecutive(graph, b, None, 1, steps).solution_count}
+    low = {b for b in range(n // 2 + 1)
+           if _enumerate_consecutive(graph, b, None, 1, steps).solution_count}
+    return low | {n - b for b in low}
 
 
 def count_canonical(graph: Graph, b: int,

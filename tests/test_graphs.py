@@ -1,5 +1,6 @@
 """Graph containers, family generators, and structural checks."""
 
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -235,11 +236,14 @@ def test_json_rejects_non_integer_vertices(record):
 
 
 def test_json_round_trip_family():
-    handle = build_lobster(3)
-    back = graph_from_dict(handle.to_dict())
-    assert back.graph == handle.graph
-    assert back.name_map == handle.name_map
-    assert back.family["kind"] == "lobster"
+    # one record per family: each family's size check must let its own record through
+    for handle in (build_lobster(3), build_caterpillar(CaterpillarSpec(3, (2, 0, 1))),
+                   build_double_star(1, 3), build_cycle(5), build_path(4), build_star(3),
+                   build_complete_bipartite(2, 3)):
+        back = graph_from_dict(handle.to_dict())
+        assert back.graph == handle.graph
+        assert back.name_map == handle.name_map
+        assert back.family == handle.family
 
 
 def test_json_family_mismatch_rejected():
@@ -247,6 +251,21 @@ def test_json_family_mismatch_rejected():
     record["edges"] = record["edges"][:-1]
     with pytest.raises(GraphError):
         graph_from_dict(record)
+
+
+@pytest.mark.parametrize("vertex_count", [3, 1000000])
+def test_json_family_sizes_checked_before_building(vertex_count):
+    # an 88-byte record whose parameters ask for a million-vertex path
+    record = {"vertex_count": vertex_count, "edges": [[0, 1], [1, 2]],
+              "family": {"kind": "path", "n": 1000000}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="does not reproduce the serialized edges"):
+            graph_from_dict(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _family_record(handle, **changes):

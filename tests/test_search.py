@@ -192,13 +192,16 @@ def test_budget_refusal():
 
 
 def test_feasible_set_matches_full_searches():
-    # feasible_b_set stops at the first witness; full searches count them all
-    handles = [build_path(4), build_star(3), build_cycle(4), build_cycle(5),
-               build_double_star(1, 2), build_lobster(2)]
-    for handle in handles:
-        g = handle.graph
+    # feasible_b_set stops at the first witness and mirrors the offsets above
+    # |V|/2; here every offset is searched on its own, on both parities of |V|
+    net = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)))  # triangle, pendant leaves
+    graphs = [h.graph for h in (build_path(4), build_star(3), build_cycle(3), build_cycle(4),
+                                build_cycle(5), build_cycle(7), build_double_star(1, 2),
+                                build_double_star(2, 3), build_complete_bipartite(2, 3),
+                                build_lobster(2), build_lobster(3))] + [net]
+    for g in graphs:
         full = {b for b in range(g.vertex_count + 1)
-                if find_consecutive(SearchQuery(g, b=b)).solution_count > 0}
+                if find_consecutive(SearchQuery(g, b=b, limit=1)).solution_count > 0}
         assert feasible_b_set(g) == full
 
 
