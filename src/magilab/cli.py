@@ -53,7 +53,7 @@ def _parse_spine(text: str) -> CaterpillarSpec:
     return CaterpillarSpec(len(counts), counts)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str) -> object:
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -65,8 +65,11 @@ def _read_json(path: str) -> dict:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}")
     else:
         print(text)
 
@@ -104,8 +107,8 @@ def _bundle(handle_or_graph, labeling: TotalLabeling) -> dict:
     }
 
 
-def _load_bundle(data: dict) -> tuple[Graph, TotalLabeling]:
-    if "graph" not in data or "labeling" not in data:
+def _load_bundle(data: object) -> tuple[Graph, TotalLabeling]:
+    if not isinstance(data, dict) or "graph" not in data or "labeling" not in data:
         raise CliError("expected a bundle object with 'graph' and 'labeling' keys")
     graph = graph_of(graph_from_dict(data["graph"]))
     labeling = TotalLabeling.from_dict(data["labeling"])

@@ -118,13 +118,6 @@ class Bipartition:
     def sizes(self) -> tuple[int, int]:
         return (len(self.side_x), len(self.side_y))
 
-    def side_of(self, v: int) -> str:
-        if v in self.side_x:
-            return "X"
-        if v in self.side_y:
-            return "Y"
-        raise GraphError(f"vertex {v} is on neither side")
-
     def validate_for(self, graph: Graph) -> None:
         """Check this bipartition actually two-colors ``graph``."""
         if self.side_x | self.side_y != frozenset(range(graph.vertex_count)):

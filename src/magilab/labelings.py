@@ -213,9 +213,8 @@ def classify(graph: Graph, labeling: TotalLabeling,
         if bipartition is not None:
             vl = labeling.vertex_labels
             small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
-            if len(small) == b:
-                if small == bipartition.side_x:
-                    side = "X"
-                elif small == bipartition.side_y:
-                    side = "Y"
+            if small == bipartition.side_x:
+                side = "X"
+            elif small == bipartition.side_y:
+                side = "Y"
     return LabelingClassification(k, b, is_super, side)

@@ -31,16 +31,19 @@ labels, or the free differences and their mirror), passed down the
 recursion, so backtracking undoes nothing.  A vertex's candidate labels
 are one mask, visited lowest first.
 
-The two magic engines prune with two O(1) checks per candidate label.  A
-forward check keeps a label only if enough free labels remain for the
-children the vertex has in the placement tree.  A degree-weighted sum
-check uses sum over edges of (f(u) + f(v)) = sum of deg(v) * f(v): the
-placed vertices fix part of it, and the unplaced ones add
-sum of (deg - 1) * f, which lies between their total weight times the
-lowest and the highest free label.  Leaves weigh nothing, so with leaves
-last that share is exactly 0 once the last non-leaf is placed.  Both
-checks rest only on that identity, the sum window and labels (and sums)
-being distinct, which is the definition itself, so they grade nothing.
+The two magic engines prune with an O(1) degree-weighted sum check per
+candidate label.  It uses sum over edges of (f(u) + f(v)) =
+sum of deg(v) * f(v): the placed vertices fix part of it, and the unplaced
+ones add sum of (deg - 1) * f, which lies between their total weight times
+the lowest and the highest free label.  Leaves weigh nothing, so with
+leaves last that share is exactly 0 once the last non-leaf is placed.  The
+consecutive engine adds a forward check: it keeps a label only if enough
+free labels remain for the children the vertex has in the placement tree.
+Both checks rest only on that identity, the sum window and labels (and
+sums) being distinct, which is the definition itself, so they grade
+nothing.  With ``canonical_only``, twins (vertices with equal
+neighborhoods) take labels in ascending vertex order, which one lower
+bound per vertex enforces (see ``_plan``).
 
 Results of the magic searches are reported sorted by vertex-label vector,
 which makes output independent of the internal iteration order.
@@ -148,20 +151,27 @@ def _plan(graph: Graph, canonical_only: bool):
     check of the magic engines: once the last non-leaf is placed, that check
     is exact.
 
-    ``steps[i]`` is ``(v, u0, e0, more, twin, below, above, dw, rest,
-    kids)``: the vertex placed at position i, its first closed edge (earlier
-    vertex u0, edge index e0; ``None`` for the root), its other closed edges
-    as (earlier vertex, edge index) pairs, and its twin bounds.  With
-    ``canonical_only``, twins (equal neighborhoods) take labels in ascending
-    vertex order; since the twins placed earlier already obey that order,
-    only the nearest one on each side of v bounds its label from below
-    (``below``) or above (``above``).  Where a side has no such twin it
-    names a sentinel slot of the labels list, ``n`` (label 0) or ``n + 1``
-    (a label above every label), and ``twin`` is False when neither side
-    has one.  ``dw`` is deg(v) - 1, the weight of v's label in the sum
-    check, and ``rest`` the total weight of the vertices after position i.
-    ``kids`` counts the later vertices whose first closed edge meets v, the
-    children of v in the placement tree.
+    ``steps[i]`` is ``(v, u0, e0, more, below, dw, rest, kids)``: the
+    vertex placed at position i, its first closed edge (earlier vertex u0,
+    edge index e0; ``None`` for the root), its other closed edges as
+    (earlier vertex, edge index) pairs, and its twin bound.  ``dw`` is
+    deg(v) - 1, the weight of v's label in the sum check, and ``rest`` the
+    total weight of the vertices after position i.  ``kids`` counts the
+    later vertices whose first closed edge meets v, the children of v in
+    the placement tree.
+
+    With ``canonical_only``, twins (equal neighborhoods) take labels in
+    ascending vertex order.  The order places every twin group in ascending
+    vertex order, so that rule is one lower bound: v's label must exceed
+    that of ``below``, the twin placed just before it, or of the sentinel
+    slot ``n`` of the labels list (label 0) when v is the first of its
+    group.  The ordering holds because twins share their neighbours, are
+    never adjacent and have equal degree.  Only a placed neighbour appends
+    a vertex, and the first placed neighbour of a group appends every
+    member not yet placed, from its sorted adjacency: in the BFS if the
+    members are non-leaves, in the leaf pass if they are leaves.  The root
+    is the lowest-numbered vertex of highest degree, so it is the lowest of
+    its group, and the rest of that group follows it in the same way.
     """
     n = graph.vertex_count
     adj = graph.adjacency
@@ -191,12 +201,9 @@ def _plan(graph: Graph, canonical_only: bool):
         u0, e0 = closed[0] if closed else (None, None)
         if closed:
             kids[u0] += 1
-        earlier = [u for u in groups.get(frozenset(adj[v]), ()) if pos[u] < i]
-        below = max((u for u in earlier if u < v), default=n)
-        above = min((u for u in earlier if u > v), default=n + 1)
+        below = max((u for u in groups.get(frozenset(adj[v]), ()) if pos[u] < i), default=n)
         rest -= len(adj[v]) - 1
-        steps.append((v, u0, e0, tuple(closed[1:]), bool(earlier), below, above,
-                      len(adj[v]) - 1, rest))
+        steps.append((v, u0, e0, tuple(closed[1:]), below, len(adj[v]) - 1, rest))
     return [step + (kids[step[0]],) for step in steps]
 
 
@@ -280,7 +287,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     free0 = sum(1 << c for c in pool)
     fsum0 = (2 << shi) - (1 << slo)
 
-    labels = [0] * n + [0, total + 1]  # two sentinel slots, see _plan
+    labels = [0] * (n + 1)  # a sentinel slot, see _plan
     sums = [0] * e
     span = e - 1
     span2 = 2 * span
@@ -303,11 +310,9 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                 truncated = True
                 return False
             return True
-        v, u0, e0, more, twin, below, above, dw, rest, kids = steps[i]
+        v, u0, e0, more, below, dw, rest, kids = steps[i]
         lu0 = labels[u0]
-        cand = free & (fsum >> lu0)
-        if twin:
-            cand &= -(2 << labels[below]) & ((1 << labels[above]) - 1)
+        cand = free & (fsum >> lu0) & -(2 << labels[below])
         while cand:
             low = cand & -cand
             cand ^= low
@@ -364,7 +369,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root, _, _, _, _, _, _, dw, rest, kids = steps[0]
+    root, _, _, _, _, dw, rest, kids = steps[0]
     for c in pool:
         free = free0 ^ (1 << c)
         if (free & (fsum0 >> c)).bit_count() < kids:
@@ -400,13 +405,8 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     whose labels are distinct free labels, must make up exactly r: a label
     that leaves r outside ``rest`` (see ``_plan``) times the lowest and the
     highest free label is dropped, and r must be 0 once ``rest`` is 0.
-
-    Forward check: each kid w of v (see ``_plan``) will need a label x with
-    x and its edge label k - c - x both free.  Both values lie in that
-    symmetric set, and all 2 * kids values of v's kids are distinct, so a
-    label c for v that leaves fewer than 2 * kids of them is dropped.  Like
-    the consecutive engine's checks, both use only the degree-sum identity
-    and that labels are distinct.
+    Like the consecutive engine's checks, it uses only the degree-sum
+    identity and that labels are distinct.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
@@ -422,7 +422,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     # bits 1..total: every label free, in both orientations
     free0 = rfree0 = (2 << total) - 2
     mirror = total + 1
-    labels = [0] * n + [0, mirror]  # two sentinel slots, see _plan
+    labels = [0] * (n + 1)  # a sentinel slot, see _plan
     earr = [0] * e
     sols: list[tuple] = []
     constants: set[int] = set()
@@ -439,14 +439,12 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                 truncated = True
                 return False
             return True
-        v, u0, e0, more, twin, below, above, dw, rest, kids = steps[i]
+        v, u0, e0, more, below, dw, rest, _ = steps[i]
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
-        cand = free & (rfree >> sh if sh >= 0 else rfree << -sh)
+        cand = free & (rfree >> sh if sh >= 0 else rfree << -sh) & -(2 << labels[below])
         if cand and not s & 1:
             cand &= ~(1 << (s >> 1))  # the edge label would equal c
-        if twin:
-            cand &= -(2 << labels[below]) & ((1 << labels[above]) - 1)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -470,28 +468,17 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                         continue
                 elif nr:
                     continue
-                if kids:
-                    sh = mirror - k + c
-                    room = nfree & (nrfree >> sh if sh >= 0 else nrfree << -sh)
-                    if room.bit_count() < 2 * kids:
-                        continue
                 labels[v] = c
                 if not place(i + 1, nfree, nrfree, nr):
                     return False
         return True
 
-    root, _, _, _, _, _, _, dw, rest, kids = steps[0]
+    root, _, _, _, _, dw, _, _ = steps[0]
     t = total * (total + 1) // 2
     for k in ks:
         for c in pool:
-            free = free0 ^ (1 << c)
-            rfree = rfree0 ^ (1 << (mirror - c))
-            sh = mirror - k + c
-            room = free & (rfree >> sh if sh >= 0 else rfree << -sh)
-            if room.bit_count() < 2 * kids:
-                continue
             labels[root] = c
-            if not place(1, free, rfree, e * k - t - dw * c):
+            if not place(1, free0 ^ (1 << c), rfree0 ^ (1 << (mirror - c)), e * k - t - dw * c):
                 break
         if truncated:
             break
@@ -565,23 +552,27 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     return low | {n - b for b in low}
 
 
-def count_canonical(graph: Graph, b: int,
-                    automorphisms: Optional[tuple] = None) -> int:
-    """Number of labeling orbits under the graph's automorphism group."""
+def count_canonical(graph: Graph, b: int) -> int:
+    """Number of labeling orbits at offset b under the graph's automorphism group."""
     report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True))
-    return count_orbits(graph, report.labelings, automorphisms)
+    return count_orbits(graph, report.labelings)
 
 
-def count_orbits(graph: Graph, labelings, automorphisms: Optional[tuple] = None) -> int:
-    """Number of orbits the automorphism group splits ``labelings`` into."""
-    if automorphisms is None:
-        automorphisms = compute_automorphisms(graph)
-    n = graph.vertex_count
-    orbit_reps = set()
-    for lab in labelings:
-        vl = lab.vertex_labels
-        orbit_reps.add(min(tuple(vl[perm[i]] for i in range(n)) for perm in automorphisms))
-    return len(orbit_reps)
+def count_orbits(graph: Graph, labelings) -> int:
+    """Number of orbits the automorphism group splits ``labelings`` into.
+
+    The orbit of f is every f o p with p an automorphism.  Two injective
+    vertex labelings f and g share an orbit exactly when they use the same
+    label set and label the edges alike, {{f(u), f(v)}} = {{g(u), g(v)}}
+    over the edges uv.  If f = g o p, both hold because p is a bijection
+    that maps the edges onto the edges.  Conversely, with equal label sets
+    p = g^-1 o f is a bijection of the vertices, and it sends each edge uv
+    to the edge whose g-labels are {f(u), f(v)}, which exists because the
+    labelled edge sets are equal; so p is an automorphism and f = g o p.
+    So the orbits are counted by that key, without listing the group.
+    """
+    return len({(frozenset(vl), frozenset(frozenset((vl[u], vl[v])) for u, v in graph.edges))
+                for vl in (lab.vertex_labels for lab in labelings)})
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +658,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
         if i == n:
             found.append(VertexLabeling(tuple(labels)))
             return limit is None or len(found) < limit
-        v, u0, _, more, _, _, _, _, _, _ = steps[i]
+        v, u0, _, more, _, _, _, _ = steps[i]
         lu0 = labels[u0]
         cand = free & (fdiff << lu0 | rdiff >> (e - lu0))
         while cand:

@@ -193,6 +193,25 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert "cannot read JSON" in err
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"graph labeling"', '["graph", "labeling"]'])
+@pytest.mark.parametrize("argv", [("verify", "-"), ("transform", "dual", "-")])
+def test_bundle_that_is_not_an_object_exits_2(capsys, monkeypatch, argv, text):
+    import io
+    import sys as _sys
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: expected a bundle object")
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "path", "-n", "3", "-o", str(out_path))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot write {out_path}")
+    assert not out_path.exists()
+
+
 def test_search_limit_below_one_exits_2(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))

@@ -12,7 +12,7 @@ from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
                             build_star)
 from magilab.labelings import classify, consecutive_index_of, is_graceful, magic_constant_of
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
-                            compute_automorphisms, count_canonical,
+                            compute_automorphisms, count_canonical, count_orbits,
                             feasible_b_set, find_consecutive, find_edge_magic,
                             find_graceful, _k_window, _plan)
 
@@ -302,7 +302,39 @@ def test_count_canonical_consistent_with_raw_orbits():
     n = g.vertex_count
     orbits = {min(tuple(lab.vertex_labels[p[i]] for i in range(n)) for p in auts)
               for lab in raw.labelings}
-    assert count_canonical(g, 3, auts) == len(orbits) == 2
+    assert count_canonical(g, 3) == len(orbits) == 2
+
+
+def _group_orbits(graph, labelings):
+    """Orbit count by the automorphism group, the reference for count_orbits."""
+    auts = compute_automorphisms(graph)
+    n = graph.vertex_count
+    seen, orbits = set(), 0
+    for lab in labelings:
+        vl = lab.vertex_labels
+        if vl not in seen:
+            orbits += 1
+            seen.update(tuple(vl[p[i]] for i in range(n)) for p in auts)
+    return orbits
+
+
+def _small_trees():
+    nx = pytest.importorskip("networkx")
+    return [Graph(t.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in t.edges)))
+            for n in range(2, 8) for t in nx.nonisomorphic_trees(n)]
+
+
+@pytest.mark.parametrize("canonical_only", [False, True])
+def test_count_orbits_matches_the_automorphism_group(canonical_only):
+    graphs = _small_trees() + [build_cycle(n).graph for n in (4, 5, 6)] + [
+        build_complete_bipartite(2, 3).graph, build_double_star(1, 2).graph]
+    compared = 0
+    for g in graphs:
+        for b in range(g.vertex_count + 1):
+            report = find_consecutive(SearchQuery(g, b=b, canonical_only=canonical_only))
+            assert count_orbits(g, report.labelings) == _group_orbits(g, report.labelings)
+            compared += report.solution_count > 0
+    assert compared > 50
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +531,10 @@ PLAN_GRAPHS = [build_path(2).graph, build_path(3).graph, build_star(4).graph,
                build_caterpillar(CaterpillarSpec(3, (2, 0, 1))).graph,
                build_caterpillar(CaterpillarSpec(4, (1, 3, 0, 2))).graph,
                build_caterpillar(CaterpillarSpec(5, (0, 1, 0, 1, 0))).graph,
-               _C5_LEAVES, _K23_LEAF]
+               _C5_LEAVES, _K23_LEAF, build_complete_bipartite(2, 3).graph,
+               build_cycle(4).graph]
 _PLAN_IDS = ["K2", "P3", "K1,4", "DS2,3", "CS2,0,1", "CS1,3,0,2", "CS0,1,0,1,0",
-             "C5+leaves", "K2,3+leaf"]
+             "C5+leaves", "K2,3+leaf", "K2,3", "C4"]
 
 
 @pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
@@ -525,6 +558,15 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     for i, step in enumerate(steps[1:], 1):
         assert step[1] is not None and pos[step[1]] < i
     assert sum(step[-1] for step in steps) == n - 1
+    # each twin group is placed in ascending vertex order, so one lower
+    # bound per step (the twin placed just before) enforces the twin rule
+    groups = {}
+    for v in order:
+        groups.setdefault(frozenset(g.adjacency[v]), []).append(v)
+    for group in groups.values():
+        assert group == sorted(group)
+        for prev, v in zip([n] + group, group):
+            assert steps[pos[v]][4] == prev
 
 
 # Small graphs (at most 13 labels) on which the constant window is pinned.
