@@ -87,11 +87,12 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        try:
-            n = data["vertex_count"]
-            edges = tuple((u, v) for u, v in data["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"bad graph record: {exc}") from exc
+        require_record(data, "graph", ("vertex_count", "edges"), GraphError)
+        n, edges = data["vertex_count"], data["edges"]
+        if not (isinstance(edges, (list, tuple))
+                and all(isinstance(edge, (list, tuple)) and len(edge) == 2 for edge in edges)):
+            raise GraphError("bad graph record: edges must be an array of [u, v] pairs")
+        edges = tuple(tuple(edge) for edge in edges)
         # Graph() itself accepts 1.9 or True as a vertex; a record must not
         for x in (n, *(x for edge in edges for x in edge)):
             if type(x) is not int:
@@ -379,6 +380,24 @@ def bipartition_of(graph: Graph) -> Optional[Bipartition]:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
+               bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+
+
+def require_record(data, what: str, keys, error: type) -> None:
+    """Raise ``error`` unless ``data`` is a JSON object holding every key in ``keys``.
+
+    The message names what the record is and what was found instead, so a
+    malformed file is reported in the record's terms, not Python's.
+    """
+    if not isinstance(data, dict):
+        found = _JSON_KINDS.get(type(data), type(data).__name__)
+        raise error(f"bad {what} record: expected a JSON object, got {found}")
+    for key in keys:
+        if key not in data:
+            raise error(f"bad {what} record: missing key {key!r}")
+
+
 def _int_param(family: dict, key: str) -> int:
     value = family[key]
     # build_lobster(True) would quietly build L_1
@@ -431,14 +450,18 @@ def graph_from_dict(data: dict):
     if not isinstance(family, dict):
         raise GraphError(f"bad graph record: family {family!r} is not an object")
     kind = family.get("kind")
-    try:  # an unhashable kind fails the lookup with TypeError
+    try:
         entry = _FAMILIES.get(kind)
-        if entry is None:
-            return graph
-        parse, size, build = entry
+    except TypeError:  # an unhashable kind
+        raise GraphError(f"bad family descriptor for kind {kind!r}: not a family name") from None
+    if entry is None:
+        return graph
+    parse, size, build = entry
+    try:
         params = parse(family)
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"bad family descriptor for kind {kind!r}: {exc}") from exc
+    except KeyError as exc:
+        raise GraphError(f"bad family descriptor for kind {kind!r}: "
+                         f"missing parameter {exc.args[0]!r}") from None
     # the sizes first: they cost nothing, and building may cost what the parameters ask
     if (size(*params) != (graph.vertex_count, graph.edge_count)
             or (handle := build(*params)).graph != graph):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Bipartition, Graph, bipartition_of, is_connected
+from .graphs import Bipartition, Graph, bipartition_of, is_connected, require_record
 
 
 class LabelingError(ValueError):
@@ -45,12 +45,11 @@ class TotalLabeling:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TotalLabeling":
-        try:
-            vertex_labels = tuple(data["vertex_labels"])
-            edge_labels = tuple(data["edge_labels"])
-        except (KeyError, TypeError) as exc:
-            raise LabelingError(f"bad labeling record: {exc}") from exc
-        return cls(vertex_labels, edge_labels)
+        require_record(data, "labeling", ("vertex_labels", "edge_labels"), LabelingError)
+        for key in ("vertex_labels", "edge_labels"):
+            if not isinstance(data[key], (list, tuple)):
+                raise LabelingError(f"bad labeling record: {key} must be an array of integers")
+        return cls(data["vertex_labels"], data["edge_labels"])
 
 
 @dataclass(frozen=True)

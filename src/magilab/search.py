@@ -45,6 +45,18 @@ nothing.  With ``canonical_only``, twins (vertices with equal
 neighborhoods) take labels in ascending vertex order, which one lower
 bound per vertex enforces (see ``_plan``).
 
+The consecutive engine also drops a branch as soon as a free label is dead,
+which refutes most absent offsets long before the leaves.  With the sums so
+far in [lo, hi], every final sum lies in [A, B] = [hi - |E| + 1, lo + |E| - 1].
+A free label x is dead when no pool label y gives A <= x + y <= B, and that
+branch has no labeling below it:
+  - the pool holds exactly |V| labels, so x goes to some unplaced vertex;
+  - that vertex has an edge, whose other end gets some pool label y;
+  - the edge's sum x + y is one of the final sums, so it lies in [A, B].
+x is dead when x >= B (then y < 1) or x < A - max(pool) (then y would
+exceed the highest pool label).  Like the other checks it uses only the
+definition.
+
 Results of the magic searches are reported sorted by vertex-label vector,
 which makes output independent of the internal iteration order.
 """
@@ -268,9 +280,25 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     Forward check: each kid of v (see ``_plan``) will need its own free
     label whose sum with v's label is still in ``fsum``, so a label for v
-    that leaves fewer such labels than v has kids is dropped.  Both checks
-    use only the degree-sum identity, that labels and sums are distinct and
-    the sum window, never a theorem the search grades.
+    that leaves fewer such labels than v has kids is dropped.
+
+    Dead-label check: every final sum lies in [A, B] = [nhi - span,
+    nlo + span], and every free label x will sit on an edge whose other end
+    holds a pool label, so x needs a pool partner y with A <= x + y <= B
+    (the module docstring has the proof).  The labels x >= B and
+    x < A - ``top_label``, the highest pool label, have none; they form one
+    mask, and a label for v that leaves a free label in it is dropped.  The
+    mask, and the span mask on ``fsum``, change only when a placement moves
+    nlo or nhi, so both are applied only then: otherwise the free labels one
+    level up, a superset, already passed the same mask.  A third such range,
+    the labels whose partners all fall in the edge block b+1..b+|E|, is one
+    label wide and only when the sums already span |E| - 1.  It is not
+    checked: on every tree with at most 11 vertices and every connected
+    atlas graph with at most 16 labels, that label was never free when the
+    other two ranges let the branch through.
+
+    These checks use only the degree-sum identity, that labels and sums are
+    distinct and the sum window, never a theorem the search grades.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
@@ -282,7 +310,8 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         return _report([], (), 0, False, b)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
-    top = pool[-1] + pool[-2]
+    top_label = pool[-1]
+    top = top_label + pool[-2]
     slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
     free0 = sum(1 << c for c in pool)
     fsum0 = (2 << shi) - (1 << slo)
@@ -349,10 +378,18 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                 nfsum ^= 1 << t
                 sums[ei] = t
             else:
-                # keep only the sums within span of both nlo and nhi (the mask is
-                # built shifted up by span, so no shift count goes negative)
-                nfsum &= ((2 << (nlo + span2)) - (1 << nhi)) >> span
                 nfree = free ^ low
+                if nlo != lo or nhi != hi:
+                    # keep only the sums within span of both nlo and nhi (the
+                    # mask is built shifted up by span, so no shift count goes
+                    # negative), then drop c if it leaves a dead free label
+                    nfsum &= ((2 << (nlo + span2)) - (1 << nhi)) >> span
+                    a = nhi - span
+                    dead = -(1 << (nlo + span))  # partner below 1
+                    if a > top_label:
+                        dead |= (1 << (a - top_label)) - 1  # partner above the pool
+                    if nfree & dead:
+                        continue
                 nw = w + dw * c
                 if rest:
                     if (e * nlo - nw < rest * ((nfree & -nfree).bit_length() - 1)

@@ -204,6 +204,42 @@ def test_bundle_that_is_not_an_object_exits_2(capsys, monkeypatch, argv, text):
     assert out == "" and err.startswith("error: expected a bundle object")
 
 
+_P3 = '{"vertex_count": 3, "edges": [[0, 1], [1, 2]]}'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("search", "--graph", "-", "--b", "1"), "5", "bad graph record: expected a JSON object, got a number"),
+    (("search", "--graph", "-", "--b", "1"), "[1, 2]", "bad graph record: expected a JSON object, got an array"),
+    (("search", "--graph", "-", "--b", "1"), '"x"', "bad graph record: expected a JSON object, got a string"),
+    (("search", "--graph", "-", "--b", "1"), "null", "bad graph record: expected a JSON object, got null"),
+    (("search", "--graph", "-", "--b", "1"), "{}", "bad graph record: missing key 'vertex_count'"),
+    (("search", "--graph", "-", "--b", "1"), '{"vertex_count": 3, "edges": [5]}',
+     "bad graph record: edges must be an array of [u, v] pairs"),
+    (("search", "--graph", "-", "--b", "1"),
+     '{"vertex_count": 3, "edges": [[0, 1], [1, 2]], "family": {"kind": "path"}}',
+     "bad family descriptor for kind 'path': missing parameter 'n'"),
+    (("verify", "-"), '{"graph": 5, "labeling": {}}',
+     "bad graph record: expected a JSON object, got a number"),
+    (("verify", "-"), f'{{"graph": {_P3}, "labeling": 5}}',
+     "bad labeling record: expected a JSON object, got a number"),
+    (("verify", "-"), f'{{"graph": {_P3}, "labeling": [1, 5, 2]}}',
+     "bad labeling record: expected a JSON object, got an array"),
+    (("verify", "-"), f'{{"graph": {_P3}, "labeling": {{"vertex_labels": [1, 5, 2]}}}}',
+     "bad labeling record: missing key 'edge_labels'"),
+    (("verify", "-"), f'{{"graph": {_P3}, "labeling": {{"vertex_labels": 5, "edge_labels": []}}}}',
+     "bad labeling record: vertex_labels must be an array of integers"),
+], ids=["graph-int", "graph-list", "graph-str", "graph-null", "graph-empty", "graph-edge-int",
+        "graph-family-param", "bundle-graph-int", "labeling-int", "labeling-list",
+        "labeling-missing-key", "labeling-labels-int"])
+def test_malformed_record_is_reported_in_its_own_terms(capsys, monkeypatch, argv, text, message):
+    import io
+    import sys as _sys
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_unwritable_output_path_exits_2(tmp_path, capsys):
     out_path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "gen", "path", "-n", "3", "-o", str(out_path))

@@ -434,6 +434,51 @@ def test_backtracker_matches_brute_force(handle):
         assert got == _brute_force_consecutive(g, b)
 
 
+def _sum_window_scan(graph, b):
+    """Reference vertex labelings at offset b: every pool permutation whose edge
+    sums are distinct and span |E| - 1.
+
+    ``test_backtracker_matches_brute_force`` checks that sum-window lemma
+    against the plain scan over edge-label arrangements on smaller graphs.
+    """
+    n, e = graph.vertex_count, graph.edge_count
+    pool = list(range(1, b + 1)) + list(range(b + e + 1, n + e + 1))
+    found = set()
+    for vl in permutations(pool):
+        sums = {vl[u] + vl[v] for u, v in graph.edges}
+        if len(sums) == e and max(sums) - min(sums) == e - 1:
+            found.add(vl)
+    return found
+
+
+def test_search_matches_the_sum_window_scan():
+    """The window, dead-label, sum and forward checks cut no labeling: on
+    every tree with at most 7 vertices, two cycles and two K_m,n, at every
+    offset, the search finds exactly the reference labelings, and with
+    ``canonical_only`` exactly those that label each twin group in
+    ascending vertex order."""
+    graphs = _small_trees() + [build_cycle(6).graph, build_cycle(7).graph,
+                               build_complete_bipartite(2, 3).graph,
+                               build_complete_bipartite(3, 3).graph]
+    absent = 0
+    for g in graphs:
+        groups: dict = {}
+        for v in range(g.vertex_count):
+            groups.setdefault(g.adjacency[v], []).append(v)
+        for b in range(g.vertex_count + 1):
+            want = _sum_window_scan(g, b)
+            absent += not want
+            for canonical_only in (False, True):
+                if canonical_only:
+                    want = {vl for vl in want
+                            if all(vl[u] < vl[w] for group in groups.values()
+                                   for u, w in zip(group, group[1:]))}
+                report = find_consecutive(SearchQuery(g, b=b, canonical_only=canonical_only))
+                assert {lab.vertex_labels for lab in report.labelings} == want, (g, b)
+                assert report.solution_count == len(want)
+    assert absent > 20
+
+
 def test_search_report_json_round_trip():
     import json
 
