@@ -8,10 +8,9 @@ from .labelings import (LabelingClassification, LabelingError, TotalLabeling,
                         VertexLabeling, check_total_labeling, classify,
                         consecutive_index_of, is_graceful, magic_constant_of,
                         neighbor_block_holds)
-from .constructions import (ConstructionError, LambdaStarCase,
-                            caterpillar_beta_labeling, caterpillar_super_labeling,
-                            double_star_consecutive, dual, lambda_star,
-                            lambda_star_case, to_graceful, to_super_edge_magic)
+from .constructions import (ConstructionError, caterpillar_beta_labeling,
+                            caterpillar_super_labeling, double_star_consecutive, dual,
+                            lambda_star, to_graceful, to_super_edge_magic)
 from .search import (DEFAULT_BUDGET, BudgetExceeded, SearchError, SearchQuery,
                      SearchReport, compute_automorphisms, count_canonical,
                      feasible_b_set, find_consecutive, find_edge_magic, find_graceful)

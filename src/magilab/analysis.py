@@ -74,14 +74,13 @@ def _verdict(predicted, observed) -> str:
 # predictions
 # ---------------------------------------------------------------------------
 
-def predicted_b_candidates(graph: Graph, bipartition=None) -> set[int]:
+def predicted_b_candidates(graph: Graph) -> set[int]:
     """Admissible block offsets: four side-derived values when bipartite,
     only the two extremes otherwise."""
     if not is_connected(graph):
         raise SearchError("predicted_b_candidates requires a connected graph")
     n = graph.vertex_count
-    if bipartition is None:
-        bipartition = bipartition_of(graph)
+    bipartition = bipartition_of(graph)
     if bipartition is None:
         return {0, n}
     x, y = bipartition.sizes
@@ -125,26 +124,22 @@ def constant_form_check(m: int, n: int, k: int) -> ConstantFormWitness:
 # verdict machinery
 # ---------------------------------------------------------------------------
 
-def classify_trichotomy(graph: Graph, bipartition, feasible: set[int],
-                        exhausted: bool = True,
+def classify_trichotomy(graph: Graph, feasible: set[int],
                         description: str = "") -> TheoremReport:
     """Assign a connected bipartite graph to one of the three possible shapes.
 
     (i) no consecutive magic labeling at all; (ii) only the extreme offsets
     0 and |V|; (iii) a tree realizing all four side values.  The verdict
-    fails when the observed set matches none of them.
+    fails when the observed set matches none of them.  ``feasible`` comes
+    from an exhausted search; a search refused by the label budget is
+    reported by :func:`_row`, not here.
     """
     if not is_connected(graph):
         raise SearchError("trichotomy applies to connected graphs")
-    if bipartition is None:
-        bipartition = bipartition_of(graph)
+    bipartition = bipartition_of(graph)
     if bipartition is None:
         raise SearchError("trichotomy applies to bipartite graphs")
-    theorem = "bipartite-trichotomy"
     desc = description or f"bipartite graph on {graph.vertex_count} vertices"
-    if not exhausted:
-        return TheoremReport(theorem, desc, "one of cases (i)-(iii)",
-                             "search not exhausted", OUT_OF_BUDGET)
     n = graph.vertex_count
     x, y = bipartition.sizes
     is_tree = graph.edge_count == n - 1
@@ -157,8 +152,8 @@ def classify_trichotomy(graph: Graph, bipartition, feasible: set[int],
     else:
         case = "no case"
     verdict = FAIL if case == "no case" else PASS
-    return TheoremReport(theorem, desc, "one of cases (i)-(iii)", case, verdict,
-                         detail=f"feasible={sorted(feasible)}")
+    return TheoremReport("bipartite-trichotomy", desc, "one of cases (i)-(iii)", case,
+                         verdict, detail=f"feasible={sorted(feasible)}")
 
 
 def _row(theorem: str, desc: str, predicted, check) -> TheoremReport:

@@ -5,31 +5,25 @@ produce closed-form consecutive edge-magic labelings from family parameters
 alone.  The transforms (dual, lambda_star, to_graceful, to_super_edge_magic)
 rewrite one verified labeling into another with a predictable block offset
 and magic constant; each transform validates its input and refuses anything
-without the label-block structure it needs.
+without the label-block structure it needs: for 0 < b < |V| every edge
+must join the low block 1..b to the high block.  Transforms check only that
+block structure; which partite side holds the low block is named by
+:func:`magilab.labelings.classify` alone, through the helper ``_low_side``
+that ``lambda_star`` also calls.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import count
 from typing import Optional
 
-from .graphs import (Bipartition, CaterpillarSpec, Graph, GraphError, bipartition_of,
-                     is_connected)
-from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
+from .graphs import Bipartition, CaterpillarSpec, Graph, GraphError
+from .labelings import (TotalLabeling, VertexLabeling, _low_side, _offset_of,
+                        magic_constant_of)
 
 
 class ConstructionError(ValueError):
     """Input labeling lacks the structure a transform requires."""
-
-
-class LambdaStarCase(Enum):
-    """Which block-reflection variant applies, keyed by the offset b."""
-
-    B_ZERO = "b = 0"
-    B_FULL = "b = |V|"
-    B_X = "b = |X|"
-    B_Y = "b = |Y|"
 
 
 # ---------------------------------------------------------------------------
@@ -136,36 +130,6 @@ def _block_structure(graph: Graph, labeling: TotalLabeling) -> int:
     return b
 
 
-def _resolve_sides(graph: Graph, labeling: TotalLabeling, b: int,
-                   bipartition: Optional[Bipartition]) -> LambdaStarCase:
-    """Name the partite side that holds the low block 1..b, for 0 < b < |V|.
-
-    The low block's edge check has already 2-coloured the graph, so a
-    connected one always has a bipartition.
-    """
-    if bipartition is None:
-        if not is_connected(graph):
-            raise ConstructionError("cannot name partite sides of a disconnected graph")
-        bipartition = bipartition_of(graph)
-    small = frozenset(v for v, x in enumerate(labeling.vertex_labels) if x <= b)
-    if small == bipartition.side_x:
-        return LambdaStarCase.B_X
-    if small == bipartition.side_y:
-        return LambdaStarCase.B_Y
-    raise ConstructionError("low-block vertices do not form a partite side")
-
-
-def lambda_star_case(graph: Graph, labeling: TotalLabeling,
-                     bipartition: Optional[Bipartition] = None) -> LambdaStarCase:
-    """Which of the four admissible offsets the labeling realizes."""
-    b = _block_structure(graph, labeling)
-    if b == 0:
-        return LambdaStarCase.B_ZERO
-    if b == graph.vertex_count:
-        return LambdaStarCase.B_FULL
-    return _resolve_sides(graph, labeling, b, bipartition)
-
-
 def lambda_star(graph: Graph, labeling: TotalLabeling,
                 bipartition: Optional[Bipartition] = None) -> TotalLabeling:
     """Reflect each label block in place, keeping the offset b.
@@ -175,7 +139,9 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     the high side inside its block, and the edges inside theirs.  Each case
     is an involution and reflects the magic constant: k goes to
     2|V|+5|E|+3-k when b=0, to 4|V|+|E|+3-k when b=|V|, and to
-    5b+(|V|-b)+3|E|+3-k when b is a side's size.
+    5b+(|V|-b)+3|E|+3-k when b is a side's size.  In that last case the low
+    block must be a side of ``bipartition`` (by default, of the graph's own
+    bipartition, so a disconnected graph is refused).
     """
     n, e = graph.vertex_count, graph.edge_count
     b = _block_structure(graph, labeling)
@@ -188,8 +154,8 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
         new_v = [n + 1 - x for x in vl]
         new_e = [2 * n + e + 1 - x for x in el]
     else:
-        # validates that the low block is a partite side (and names it)
-        _resolve_sides(graph, labeling, b, bipartition)
+        if _low_side(graph, labeling, b, bipartition) is None:
+            raise ConstructionError("low-block vertices do not form a partite side")
         new_v = [b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]
         new_e = [2 * b + e + 1 - x for x in el]
     return TotalLabeling(tuple(new_v), tuple(new_e))

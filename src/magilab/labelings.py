@@ -195,25 +195,40 @@ def is_graceful(graph: Graph, labeling: VertexLabeling) -> bool:
     return diffs == set(range(1, e + 1))
 
 
+def _low_side(graph: Graph, labeling: TotalLabeling, b: int,
+              bipartition: Optional[Bipartition]) -> Optional[str]:
+    """Name the partite side whose vertex labels are exactly {1..b}.
+
+    This is the one place a low block is compared with a bipartition's
+    sides.  ``bipartition`` is used as given; without one, a connected
+    graph's own bipartition is used.  Returns "X" or "Y", or None when the
+    graph is disconnected or not bipartite, or the low block is neither
+    side.
+    """
+    if bipartition is None and is_connected(graph):
+        bipartition = bipartition_of(graph)
+    if bipartition is not None:
+        vl = labeling.vertex_labels
+        small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
+        if small == bipartition.side_x:
+            return "X"
+        if small == bipartition.side_y:
+            return "Y"
+    return None
+
+
 def classify(graph: Graph, labeling: TotalLabeling,
              bipartition: Optional[Bipartition] = None) -> LabelingClassification:
     """Aggregate magic constant, consecutive index, super flag, and side tag.
 
-    The side tag names the partite side whose labels are exactly {1..b};
-    it is only set for bipartite graphs with b equal to one side's size.
+    The side tag names the partite side whose labels are exactly {1..b}
+    (see :func:`_low_side`); it is only set when 0 < b < |V| and that low
+    block is a side of ``bipartition``, or of the graph's own bipartition
+    when none is given and the graph is connected.
     """
     k = magic_constant_of(graph, labeling)
     b = _offset_of(graph, labeling, k)
     is_super = b is not None and b == graph.vertex_count and graph.vertex_count > 0
-    side = None
-    if b is not None and 0 < b < graph.vertex_count:
-        if bipartition is None and is_connected(graph):
-            bipartition = bipartition_of(graph)
-        if bipartition is not None:
-            vl = labeling.vertex_labels
-            small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
-            if small == bipartition.side_x:
-                side = "X"
-            elif small == bipartition.side_y:
-                side = "Y"
+    side = (_low_side(graph, labeling, b, bipartition)
+            if b is not None and 0 < b < graph.vertex_count else None)
     return LabelingClassification(k, b, is_super, side)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from magilab.analysis import (FAIL, OUT_OF_BUDGET, PASS, SuiteLimitError,
+from magilab.analysis import (FAIL, PASS, SuiteLimitError,
                               caterpillar_b_set, caterpillar_suite,
                               classify_trichotomy, closing_claims_suite,
                               constant_form_check, double_star_suite,
@@ -61,27 +61,25 @@ def test_constant_form_check_refuses_a_double_star_that_cannot_exist(m, n):
 
 def test_trichotomy_cases():
     k22 = build_complete_bipartite(2, 2).graph
-    report = classify_trichotomy(k22, None, feasible_b_set(k22))
+    report = classify_trichotomy(k22, feasible_b_set(k22))
     assert report.verdict == PASS
     assert "case (i)" in report.observed
 
     ds = build_double_star(1, 1).graph
-    report = classify_trichotomy(ds, None, feasible_b_set(ds))
+    report = classify_trichotomy(ds, feasible_b_set(ds))
     assert "case (iii)" in report.observed
 
     c4 = build_cycle(4).graph
-    report = classify_trichotomy(c4, None, feasible_b_set(c4))
+    report = classify_trichotomy(c4, feasible_b_set(c4))
     assert "case (i)" in report.observed
 
 
-def test_trichotomy_out_of_budget_and_failure():
+def test_trichotomy_failure_and_refusal():
     p3 = build_path(3).graph
-    report = classify_trichotomy(p3, None, set(), exhausted=False)
-    assert report.verdict == OUT_OF_BUDGET
-    report = classify_trichotomy(p3, None, {1})  # impossible observed set
+    report = classify_trichotomy(p3, {1})  # impossible observed set
     assert report.verdict == FAIL
     with pytest.raises(SearchError):
-        classify_trichotomy(build_cycle(5).graph, None, set())
+        classify_trichotomy(build_cycle(5).graph, set())
 
 
 def test_closing_claims_suite_passes():

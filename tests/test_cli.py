@@ -99,6 +99,18 @@ def test_transform_super_rejects_wrong_offset(tmp_path, capsys):
     assert "error" in err
 
 
+def test_transform_lambda_star_refuses_a_graph_without_sides(capsys, monkeypatch):
+    import io
+    import sys as _sys
+    # 3K2 at b = 3: every edge crosses the blocks, but the graph is disconnected
+    bundle = {"graph": {"vertex_count": 6, "edges": [[0, 3], [1, 2], [4, 5]]},
+              "labeling": TotalLabeling((1, 2, 7, 9, 3, 8), (5, 6, 4)).to_dict()}
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(json.dumps(bundle)))
+    code, out, err = run(capsys, "transform", "lambda-star", "-")
+    assert code == 1
+    assert out == "" and err == "error: low-block vertices do not form a partite side\n"
+
+
 def test_search_report_matches_in_process(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "double-star", "1", "2", "-o", str(gpath))

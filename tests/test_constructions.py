@@ -4,13 +4,11 @@ from itertools import product
 
 import pytest
 
-from magilab.constructions import (ConstructionError, LambdaStarCase,
-                                   caterpillar_beta_labeling,
+from magilab.constructions import (ConstructionError, caterpillar_beta_labeling,
                                    caterpillar_super_labeling,
                                    double_star_consecutive, dual, lambda_star,
-                                   lambda_star_case, to_graceful,
-                                   to_super_edge_magic)
-from magilab.graphs import (CaterpillarSpec, build_caterpillar,
+                                   to_graceful, to_super_edge_magic)
+from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, build_caterpillar,
                             build_double_star, build_path)
 from magilab.labelings import (LabelingError, TotalLabeling, check_total_labeling,
                                classify, consecutive_index_of, is_graceful)
@@ -170,7 +168,8 @@ def test_lambda_star_full_and_zero_cases():
     got = classify(p3, star)
     assert got.consecutive_index == 3
     assert got.magic_constant == 4 * 3 + 2 + 3 - 8
-    assert lambda_star_case(p3, sup) is LambdaStarCase.B_FULL
+    tag = classify(p3, sup)
+    assert (tag.consecutive_index, tag.side_with_small_labels) == (3, None)
 
     zero = dual(p3, sup)  # offset 0
     star0 = lambda_star(p3, zero)
@@ -178,7 +177,8 @@ def test_lambda_star_full_and_zero_cases():
     k0 = classify(p3, zero).magic_constant
     assert got0.consecutive_index == 0
     assert got0.magic_constant == 2 * 3 + 5 * 2 + 3 - k0
-    assert lambda_star_case(p3, zero) is LambdaStarCase.B_ZERO
+    tag0 = classify(p3, zero)
+    assert (tag0.consecutive_index, tag0.side_with_small_labels) == (0, None)
 
 
 def test_lambda_star_involution_all_cases():
@@ -191,12 +191,37 @@ def test_lambda_star_involution_all_cases():
         assert lambda_star(g, lambda_star(g, labeling)) == labeling
 
 
-def test_lambda_star_case_tags_respect_sides():
+def test_classify_names_the_low_side():
     spec, handle = _cat(3, (2, 1, 2))
     lam = caterpillar_beta_labeling(spec)  # low block on side Y (size 5)
-    assert lambda_star_case(handle.graph, lam, handle.bipartition) is LambdaStarCase.B_Y
+    got = classify(handle.graph, lam, handle.bipartition)
+    assert (got.consecutive_index, got.side_with_small_labels) == (5, "Y")
     d = dual(handle.graph, lam)            # low block moves to side X
-    assert lambda_star_case(handle.graph, d, handle.bipartition) is LambdaStarCase.B_X
+    got = classify(handle.graph, d, handle.bipartition)
+    assert (got.consecutive_index, got.side_with_small_labels) == (3, "X")
+
+
+# 3K2 at b = 3, constant 15: every edge crosses the blocks, but a disconnected
+# graph has no sides of its own to name.
+_3K2 = Graph(6, ((0, 3), (1, 2), (4, 5)))
+_3K2_LABELING = TotalLabeling((1, 2, 7, 9, 3, 8), (5, 6, 4))
+
+
+def _p4_beta():
+    """P4's beta labeling (low block {1, 2}) against sides its edges do not cross."""
+    spec, handle = _cat(2, (1, 1))
+    return handle.graph, caterpillar_beta_labeling(spec), Bipartition({0, 1}, {2, 3})
+
+
+@pytest.mark.parametrize("graph, labeling, bip, b", [
+    (_3K2, _3K2_LABELING, None, 3),
+    (*_p4_beta(), 2),
+], ids=["3K2-no-sides", "P4-wrong-sides"])
+def test_low_block_that_is_no_partite_side_is_refused(graph, labeling, bip, b):
+    got = classify(graph, labeling, bip)
+    assert (got.consecutive_index, got.side_with_small_labels) == (b, None)
+    with pytest.raises(ConstructionError, match="low-block vertices do not form a partite side"):
+        lambda_star(graph, labeling, bip)
 
 
 def test_lambda_star_rejects_non_consecutive():
@@ -243,7 +268,7 @@ def test_lambda_star_is_an_involution_that_keeps_b_and_reflects_k():
         g, bip = handle.graph, handle.bipartition
         n, e = g.vertex_count, g.edge_count
         k, b = _kb(g, labeling)
-        cases.add(lambda_star_case(g, labeling, bip))
+        side = classify(g, labeling, bip).side_with_small_labels
         star = lambda_star(g, labeling, bip)
         assert lambda_star(g, star, bip) == labeling, counts
         if b == 0:
@@ -251,10 +276,11 @@ def test_lambda_star_is_an_involution_that_keeps_b_and_reflects_k():
         elif b == n:
             reflected = 4 * n + e + 3 - k
         else:
-            assert b in bip.sizes, counts
+            assert b == len({"X": bip.side_x, "Y": bip.side_y}[side]), counts
             reflected = 5 * b + (n - b) + 3 * e + 3 - k
         assert _kb(g, star) == (reflected, b), counts
-    assert cases == set(LambdaStarCase)
+        cases.add(side or ("b = 0" if b == 0 else "b = |V|"))
+    assert cases == {"b = 0", "b = |V|", "X", "Y"}
 
 
 @pytest.mark.parametrize("labeling", [
