@@ -175,9 +175,14 @@ def to_graceful(graph: Graph, labeling: TotalLabeling,
     """Collapse a side-offset consecutive magic labeling to a graceful one.
 
     The side holding {1..b} drops to {0..b-1}; the other side folds down so
-    that adjacent differences sweep 1..|E| exactly.
+    that adjacent differences sweep 1..|E| exactly.  A graph with
+    |V| > |E| + 1 has no graceful labeling (its |V| distinct labels would not
+    fit in 0..|E|), so such a graph is refused.
     """
     b = _side_split(graph, labeling)
+    if graph.vertex_count > graph.edge_count + 1:
+        raise ConstructionError(
+            f"{graph.vertex_count} vertices need more graceful labels than 0..{graph.edge_count}")
     top = graph.edge_count + b + graph.vertex_count
     return VertexLabeling(tuple(x - 1 if x <= b else top - x for x in labeling.vertex_labels))
 

@@ -41,9 +41,7 @@ consecutive engine adds a forward check: it keeps a label only if enough
 free labels remain for the children the vertex has in the placement tree.
 Both checks rest only on that identity, the sum window and labels (and
 sums) being distinct, which is the definition itself, so they grade
-nothing.  With ``canonical_only``, twins (vertices with equal
-neighborhoods) take labels in ascending vertex order, which one lower
-bound per vertex enforces (see ``_plan``).
+nothing.
 
 The consecutive engine also drops a branch as soon as a free label is dead,
 which refutes most absent offsets long before the leaves.  With the sums so
@@ -57,6 +55,44 @@ x is dead when x >= B (then y < 1) or x < A - max(pool) (then y would
 exceed the highest pool label).  Like the other checks it uses only the
 definition.
 
+Both magic engines break every automorphism of the graph and expand each
+labeling they reach into its orbit (Puget, "Breaking symmetries in all
+different problems", IJCAI 2005).  An automorphism p maps a labeling f to
+f o p, whose edge uv takes the label f gives the edge p(u)p(v): the same
+labels and the same constant, so f o p is a labeling of the same kind, and
+the labelings fall into orbits.  Labels are distinct, so an orbit has
+|Aut| members, and exactly one is least in placement order, lowest
+f(v_1) first, then f(v_2), and so on.  With O_i the orbit of v_i under the
+pointwise stabiliser G_i of v_1..v_(i-1), f is that least member exactly
+when f(v_i) < f(w) for every i and every w != v_i in O_i: the least
+f(v_1) in the orbit is the least label on O_1, only G_2 keeps it, and so
+on down the order.  One bound per vertex is enough.  If w lies in O_j and
+in O_k with j < k, take q in G_j with q(v_j) = w and p in G_k with
+p(v_k) = w.  Then p^-1 o q lies in G_j and sends v_j to v_k, so v_k is in
+O_j, and f(w) > f(v_k) > f(v_j).  So w needs only the bound of the latest
+such v_k, which ``_plan`` calls ``below``.  An orbit with a labeling
+has a least one, so an offset where the DFS reaches no labeling has none.
+
+The group is split as Aut = R.T.  T permutes the vertices within each twin
+class (vertices with equal open neighbourhoods), and every such
+permutation is an automorphism.  Automorphisms map twin classes onto twin
+classes, so each coset p.T holds exactly one automorphism that is
+increasing on every twin class; R is those.  If every placed vertex keeps
+its place under p = q o t, with q in R and t in T, then q maps each placed
+vertex's class onto itself.  Conversely, for such a q, a t inside the
+classes can undo q on the placed vertices and send v_i to any vertex of
+q(class(v_i)) that is not placed.  So O_i is the union of q(class(v_i))
+over the q in R that map the class of every placed vertex onto itself,
+less the placed vertices.  ``_class_orbits`` finds these orbits and R.
+
+At a leaf g the engines emit g o r o t for every r in R and t in T (see
+``_orbit``).  The plan places each twin class in ascending vertex order,
+and its members bound each other in that order, so g is ascending on
+every twin class, and so is g o r.  With ``canonical_only`` the engines
+emit only the g o r: in each coset g o r o T they are the one member
+that labels every twin class in ascending vertex order, which is what
+``canonical_only`` selects.
+
 Results of the magic searches are reported sorted by vertex-label vector,
 which makes output independent of the internal iteration order.
 """
@@ -64,7 +100,9 @@ which makes output independent of the internal iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice, permutations, tee
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, is_connected
 from .labelings import TotalLabeling, VertexLabeling
@@ -98,11 +136,16 @@ class SearchQuery:
     """What to search for.
 
     ``b`` present means consecutive search with that block offset; absent
-    means any edge-magic labeling.  ``canonical_only`` breaks label
-    symmetry between twin vertices (identical neighborhoods), shrinking the
-    enumeration without changing which queries are satisfiable.  ``limit``,
-    when given, stops the search after that many labelings (at least 1):
-    the first ones in search order, which need not have the lowest k.
+    means any edge-magic labeling.  ``canonical_only`` keeps only the
+    labelings that label every twin class (vertices with identical
+    neighborhoods) in ascending vertex order, shrinking the enumeration
+    without changing which queries are satisfiable.  Either way the search
+    reaches one labeling per orbit of the automorphism group, Aut = R.T
+    with T the permutations inside the twin classes, and emits its orbit:
+    every g o r o t, or with ``canonical_only`` every g o r (see the module
+    docstring).  ``limit``, when given, stops the search after that many
+    labelings (at least 1): the first ones in search order, orbit by orbit,
+    which need not have the lowest k.
     ``b``, ``magic_constant`` and ``limit`` must be exactly ``int`` (or
     None) and ``canonical_only`` exactly ``bool``: ``True`` for ``b``,
     ``1.0`` or ``"no"`` raise :class:`SearchError`.
@@ -148,8 +191,17 @@ class SearchReport:
 # placement machinery
 # ---------------------------------------------------------------------------
 
-def _plan(graph: Graph, canonical_only: bool):
-    """Placement order as per-position steps, shared by every engine.
+class _Plan(NamedTuple):
+    """A placement order and the symmetry it breaks; see ``_plan``."""
+
+    steps: list
+    groups: list  # the twin classes, numbered by first placement, each ascending
+    gens: list    # maps of the classes that generate R, see _class_orbits
+
+
+def _plan(graph: Graph) -> _Plan:
+    """Placement order as per-position steps, shared by every engine, and the
+    bounds that break every automorphism of the graph.
 
     The order is a BFS from a max-degree root over the vertices of degree at
     least 2, then the leaves, each in the order its neighbour was placed.
@@ -166,57 +218,249 @@ def _plan(graph: Graph, canonical_only: bool):
     ``steps[i]`` is ``(v, u0, e0, more, below, dw, rest, kids)``: the
     vertex placed at position i, its first closed edge (earlier vertex u0,
     edge index e0; ``None`` for the root), its other closed edges as
-    (earlier vertex, edge index) pairs, and its twin bound.  ``dw`` is
+    (earlier vertex, edge index) pairs, and its symmetry bound.  ``dw`` is
     deg(v) - 1, the weight of v's label in the sum check, and ``rest`` the
     total weight of the vertices after position i.  ``kids`` counts the
     later vertices whose first closed edge meets v, the children of v in
     the placement tree.
 
-    With ``canonical_only``, twins (equal neighborhoods) take labels in
-    ascending vertex order.  The order places every twin group in ascending
-    vertex order, so that rule is one lower bound: v's label must exceed
-    that of ``below``, the twin placed just before it, or of the sentinel
-    slot ``n`` of the labels list (label 0) when v is the first of its
-    group.  The ordering holds because twins share their neighbours, are
-    never adjacent and have equal degree.  Only a placed neighbour appends
-    a vertex, and the first placed neighbour of a group appends every
-    member not yet placed, from its sorted adjacency: in the BFS if the
-    members are non-leaves, in the leaf pass if they are leaves.  The root
-    is the lowest-numbered vertex of highest degree, so it is the lowest of
-    its group, and the rest of that group follows it in the same way.
+    Twins (equal open neighbourhoods) are placed in ascending vertex order.
+    They share their neighbours, are never adjacent and have equal degree.
+    Only a placed neighbour appends a vertex, and the first placed neighbour
+    of a twin class appends every member not yet placed, from its sorted
+    adjacency: in the BFS if the members are non-leaves, in the leaf pass if
+    they are leaves.  The root is the lowest-numbered vertex of highest
+    degree, so it is the lowest of its class, and the rest of the class
+    follows it in the same way.  Number the classes in the order their
+    first members are placed: then the vertices placed before the first
+    member of class c are members of the classes below c.
+
+    v's label must exceed that of ``below``, the latest earlier vertex whose
+    orbit under the pointwise stabiliser of the vertices placed before it
+    holds v, or that of the sentinel slot ``n`` of the labels list (label 0)
+    when there is none (the module docstring has the proof).  For a vertex
+    after the first of its class that is the member placed just before it.
+    For the first member of class c it is the first member of the latest
+    class c' < c whose orbit under H_c' holds c (see ``_class_orbits``).
     """
     n = graph.vertex_count
     adj = graph.adjacency
-    root = max(range(n), key=lambda v: (len(adj[v]), -v))
-    pos = {root: 0}
+    degree = [len(nbrs) for nbrs in adj]
+    root = degree.index(max(degree))
+    pos = [n] * n
+    pos[root] = 0
     order = [root]
     for u in order:  # BFS over the non-leaves: the loop visits what it appends
         for v in adj[u]:
-            if v not in pos and len(adj[v]) > 1:
+            if pos[v] == n and degree[v] > 1:
                 pos[v] = len(order)
                 order.append(v)
     for u in order[:]:  # then the leaves, by the position of their neighbour
         for v in adj[u]:
-            if v not in pos:
+            if pos[v] == n:
                 pos[v] = len(order)
                 order.append(v)
+    ids: dict[tuple, int] = {}
+    groups: list[list[int]] = []
+    cls = [0] * n
+    for v in order:
+        c = cls[v] = ids.setdefault(adj[v], len(groups))
+        if c == len(groups):
+            groups.append([])
+        groups[c].append(v)
+    orbits, gens = _class_orbits(adj, groups, cls)
+    below = [n] * n
+    for group in groups:
+        for prev, v in zip(group, group[1:]):
+            below[v] = prev
+    for c in sorted(orbits):  # a later class overwrites an earlier one
+        for x in orbits[c][1:]:
+            below[groups[x][0]] = groups[c][0]
     edge_index = graph.edge_index
-    groups: dict[frozenset, list[int]] = {}
-    if canonical_only:
-        for v in range(n):
-            groups.setdefault(frozenset(adj[v]), []).append(v)
     kids = [0] * n
-    rest = sum(len(adj[v]) - 1 for v in order)
-    steps = []
+    closed = []
     for i, v in enumerate(order):
-        closed = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adj[v] if pos[u] < i]
-        u0, e0 = closed[0] if closed else (None, None)
-        if closed:
-            kids[u0] += 1
-        below = max((u for u in groups.get(frozenset(adj[v]), ()) if pos[u] < i), default=n)
-        rest -= len(adj[v]) - 1
-        steps.append((v, u0, e0, tuple(closed[1:]), below, len(adj[v]) - 1, rest))
-    return [step + (kids[step[0]],) for step in steps]
+        edges = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adj[v] if pos[u] < i]
+        if edges:
+            kids[edges[0][0]] += 1
+        closed.append(edges)
+    rest = sum(degree) - n
+    steps = []
+    for v, edges in zip(order, closed):
+        u0, e0 = edges[0] if edges else (None, None)
+        rest -= degree[v] - 1
+        steps.append((v, u0, e0, tuple(edges[1:]), below[v], degree[v] - 1, rest, kids[v]))
+    return _Plan(steps, groups, gens)
+
+
+def _class_orbits(adj, groups, cls):
+    """The orbit of each twin class c under H_c, c first, for the classes
+    where it holds more than c; and maps of the classes that generate R.
+    ``cls`` gives the class of each vertex.
+
+    H_c is the set of q in R that map each class below c onto itself.  An
+    automorphism that is increasing on every twin class is fixed by where
+    it sends the classes, and a map of the classes lifts to one exactly when
+    it keeps class sizes and class adjacency: two classes are joined by
+    every edge between them or by none, as twins share their neighbours.
+    Colour refinement of the classes (size and degree, then the colours of
+    the neighbouring classes) runs until no colour splits; every class keeps
+    its colour under such a map, and when the colours tell every class apart
+    R is the identity alone.
+
+    Otherwise the classes are taken deepest first.  The maps found so far
+    fix every class below c, so the orbit of c starts as the closure of c
+    under them.  For each class x of c's colour still outside it (next to
+    every earlier neighbour of c, which c's image must be), a backtracker
+    looks for one map that fixes the classes below c and sends c to x, and
+    keeps it as a generator.  It maps the classes in order: each goes to an
+    unused class of its colour next to the image of one earlier neighbour
+    (every class but the first has one, as every prefix of the placement
+    order is connected), and is checked against its other earlier
+    neighbours only.  At the end every edge between classes was checked
+    once, and a bijection that keeps every edge of a finite graph is an
+    automorphism of it.  So the generators kept at c and at the later
+    classes move c over its whole orbit under H_c, and they generate all of
+    R: by the orbit-stabiliser theorem down the chain H_0 > H_1 > ..., both
+    groups have the product of those orbit sizes as their order.
+    """
+    m = len(groups)
+    nbrs = [{cls[u] for u in adj[group[0]]} for group in groups]
+    color = [(len(group), len(adj[group[0]])) for group in groups]
+    count = len(set(color))
+    while count < m:
+        palette: dict = {}
+        color = [palette.setdefault((x, *sorted([color[d] for d in ns])), len(palette))
+                 for x, ns in zip(color, nbrs)]
+        if len(palette) == count:
+            break
+        count = len(palette)
+    orbits: dict = {}
+    gens: list = []
+    if count == m:
+        return orbits, gens
+    kin: dict = {}  # the classes of each colour, as a bit set
+    for c, x in enumerate(color):
+        kin[x] = kin.get(x, 0) | 1 << c
+    kin = [kin[x] for x in color]
+    nb = [sum([1 << d for d in ns]) for ns in nbrs]
+    back = [[d for d in ns if d < c] for c, ns in enumerate(nbrs)]
+    img = list(range(m))
+
+    def extend(c, free):
+        if c == m:
+            return True
+        first, *more = back[c]
+        cand = nb[img[first]] & free & kin[c]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            if all(nb[x] >> img[d] & 1 for d in more):
+                img[c] = x
+                if extend(c + 1, free ^ low):
+                    return True
+        return False
+
+    full = (1 << m) - 1
+    for c in reversed(range(m)):
+        cand = kin[c] >> (c + 1) << (c + 1)  # the classes of c's colour above c
+        if not cand:
+            continue
+        for d in back[c]:
+            cand &= nb[d]
+        orbit = [c]
+        while cand:
+            for y in orbit:  # close the orbit under the maps found so far
+                for g in gens:
+                    if g[y] not in orbit:
+                        orbit.append(g[y])
+                cand &= ~(1 << y)
+            if cand:
+                low = cand & -cand
+                img[:c] = range(c)
+                img[c] = low.bit_length() - 1
+                if extend(c + 1, (full >> c << c) ^ low):
+                    gens.append(tuple(img))  # it sends c to x: the next pass adds x
+                else:
+                    cand ^= low
+        if len(orbit) > 1:
+            orbits[c] = orbit
+    return orbits, gens
+
+
+def _coset_reps(plan: _Plan):
+    """Yield R as vertex maps, the identity first.
+
+    R is the closure of the generators under composition.  A map of the
+    classes sends the j-th member of a class to the j-th member of its
+    image, so that it is increasing on every twin class.
+    """
+    groups, gens = plan.groups, plan.gens
+    n = sum(map(len, groups))
+    maps = [tuple(range(len(groups)))]
+    seen = set(maps)
+    for q in maps:  # the loop visits what it appends
+        r = [0] * n
+        for group, x in zip(groups, q):
+            for v, w in zip(group, groups[x]):
+                r[v] = w
+        yield tuple(r)
+        for g in gens:
+            p = tuple([g[x] for x in q])
+            if p not in seen:
+                seen.add(p)
+                maps.append(p)
+
+
+def _getter(index):
+    """``seq -> tuple(seq[i] for i in index)``, as one C call."""
+    return itemgetter(*index) if len(index) > 1 else lambda seq: (seq[index[0]],)
+
+
+def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
+    """The expansion of a DFS leaf: ``members(vl, el)`` yields its orbit.
+
+    The leaf g is the least labeling of its orbit, which is g o r o t over r
+    in R and t in T, all distinct.  The edge labels of g o p are g's edge
+    labels permuted by p's action on the edges, so each member is two index
+    maps applied to the leaf's label tuples.  With ``canonical_only`` only
+    t = id is taken: g o r is then the one member of its coset that labels
+    each twin class ascending.  The engines call this at their first leaf,
+    so a search with no labeling makes no maps, and the maps of R and of T
+    are made one at a time as a search reads them, so a ``limit`` search
+    builds neither group.
+    """
+    edges, edge_index = graph.edges, graph.edge_index
+    twins = [] if canonical_only else [group for group in plan.groups if len(group) > 1]
+    identity = list(range(graph.vertex_count))
+
+    def maps(p):
+        if list(p) == identity:
+            return tuple, tuple  # tuple() hands a tuple back unchanged
+        return _getter(p), _getter([edge_index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
+                                    for u, v in edges])
+
+    def twin_maps(t, k):
+        if k == len(twins):
+            yield maps(t)
+            return
+        group = twins[k]
+        for image in permutations(group):
+            for v, w in zip(group, image):
+                t[v] = w
+            yield from twin_maps(t, k + 1)
+
+    # a copy of a tee replays the maps made so far and makes the rest on demand
+    reps = tee(map(maps, _coset_reps(plan)), 1)[0]
+    made = tee(twin_maps(identity[:], 0), 1)[0]
+
+    def members(vl, el):
+        for rv, re in reps.__copy__():
+            h, he = rv(vl), re(el)
+            for tv, te in made.__copy__():
+                yield tv(h), te(he)
+    return members
 
 
 def _k_window(graph: Graph, labels: list[int]):
@@ -238,19 +482,21 @@ def _k_window(graph: Graph, labels: list[int]):
     return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
 
 
-def _report(sols: list, constants, count: int, truncated: bool, b: Optional[int]) -> SearchReport:
+def _report(sols: list, constants, truncated: bool, b: Optional[int]) -> SearchReport:
     """Package raw (vertex labels, edge labels) solutions, sorted by vertex labels."""
     sols.sort()
     labelings = tuple(TotalLabeling(vl, el) for vl, el in sols)
-    return SearchReport(labelings, frozenset(constants), not truncated, count, b)
+    return SearchReport(labelings, frozenset(constants), not truncated, len(sols), b)
 
 
 def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
-                           limit: Optional[int], steps: list) -> SearchReport:
+                           limit: Optional[int], plan: _Plan,
+                           canonical_only: bool) -> SearchReport:
     """Sum-window DFS: every consecutive labeling at offset b, with no loop over k.
 
-    The graph needs an edge.  ``steps`` is the caller's ``_plan`` of it (a
-    sweep over offsets builds it once).
+    The graph needs an edge.  ``plan`` is the caller's ``_plan`` of it (a
+    sweep over offsets builds it once).  The DFS reaches one labeling per
+    orbit, and ``_orbit`` expands it.
 
     Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
     never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
@@ -307,7 +553,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
-        return _report([], (), 0, False, b)
+        return _report([], (), False, b)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top_label = pool[-1]
@@ -316,6 +562,8 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     free0 = sum(1 << c for c in pool)
     fsum0 = (2 << shi) - (1 << slo)
 
+    steps = plan.steps
+    members = None  # see _orbit
     labels = [0] * (n + 1)  # a sentinel slot, see _plan
     sums = [0] * e
     span = e - 1
@@ -325,20 +573,19 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     w0 = sum(pool) - e * span // 2
     sols: list[tuple] = []
     constants: set[int] = set()
-    count = 0
     truncated = False
 
     def place(i, free, fsum, lo, hi, w):
-        nonlocal count, truncated
+        nonlocal truncated, members
         if i == n:
             k = lo + base
-            count += 1
             constants.add(k)
-            sols.append((tuple(labels[:n]), tuple([k - s for s in sums])))
-            if limit is not None and count >= limit:
-                truncated = True
-                return False
-            return True
+            if members is None:
+                members = _orbit(graph, plan, canonical_only)
+            room = None if limit is None else limit - len(sols)
+            sols.extend(islice(members(tuple(labels[:n]), tuple([k - s for s in sums])), room))
+            truncated = len(sols) == limit
+            return not truncated
         v, u0, e0, more, below, dw, rest, kids = steps[i]
         lu0 = labels[u0]
         cand = free & (fsum >> lu0) & -(2 << labels[below])
@@ -414,7 +661,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         labels[root] = c
         if not place(1, free, fsum0, top + 1, -1, w0 + dw * c):
             break
-    return _report(sols, constants, count, truncated, b)
+    return _report(sols, constants, truncated, b)
 
 
 def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
@@ -448,13 +695,15 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
-        return _report([], (), 0, False, None)
+        return _report([], (), False, None)
     pool = list(range(1, total + 1))
     klo, khi = _k_window(graph, pool)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
-    steps = _plan(graph, canonical_only)
+    plan = _plan(graph)
+    steps = plan.steps
+    members = None  # see _orbit
 
     # bits 1..total: every label free, in both orientations
     free0 = rfree0 = (2 << total) - 2
@@ -463,19 +712,18 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     earr = [0] * e
     sols: list[tuple] = []
     constants: set[int] = set()
-    count = 0
     truncated = False
 
     def place(i, free, rfree, r):
-        nonlocal count, truncated
+        nonlocal truncated, members
         if i == n:
-            count += 1
             constants.add(k)
-            sols.append((tuple(labels[:n]), tuple(earr)))
-            if limit is not None and count >= limit:
-                truncated = True
-                return False
-            return True
+            if members is None:
+                members = _orbit(graph, plan, canonical_only)
+            room = None if limit is None else limit - len(sols)
+            sols.extend(islice(members(tuple(labels[:n]), tuple(earr)), room))
+            truncated = len(sols) == limit
+            return not truncated
         v, u0, e0, more, below, dw, rest, _ = steps[i]
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
@@ -520,7 +768,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
         if truncated:
             break
 
-    return _report(sols, constants, count, truncated, None)
+    return _report(sols, constants, truncated, None)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +802,7 @@ def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> Search
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
     return _enumerate_consecutive(graph, query.b, query.magic_constant, query.limit,
-                                  _plan(graph, query.canonical_only))
+                                  _plan(graph), query.canonical_only)
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
@@ -574,18 +822,18 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     every label, z -> |V|+|E|+1-z (``constructions.dual``), maps the
     consecutive labelings at b one-to-one onto those at |V| - b, so the two
     offsets are feasible together.  Each searched offset stops at its first
-    witness labeling.  One without one is searched to exhaustion (with twin
-    symmetry broken, which cannot change satisfiability), so it is certified
-    absent, and the bijection carries that certificate to its mirror.  One
-    placement plan serves every offset.
+    witness labeling.  One without one is searched to exhaustion (with every
+    automorphism broken, which cannot change satisfiability), so it is
+    certified absent, and the bijection carries that certificate to its
+    mirror.  One placement plan serves every offset.
     """
     _admit(graph, budget)
     if graph.edge_count == 0:
         return set()
     n = graph.vertex_count
-    steps = _plan(graph, True)
+    plan = _plan(graph)
     low = {b for b in range(n // 2 + 1)
-           if _enumerate_consecutive(graph, b, None, 1, steps).solution_count}
+           if _enumerate_consecutive(graph, b, None, 1, plan, True).solution_count}
     return low | {n - b for b in low}
 
 
@@ -672,8 +920,9 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
     """Backtracking search for graceful labelings over vertex labels 0..|E|.
 
     Differences close as vertices are placed along the shared plan; each
-    must be a fresh value in 1..|E|.  ``limit`` (an int of at least 1, or
-    None for all) keeps the first labelings in search order.  Graphs
+    must be a fresh value in 1..|E|.  The plan's symmetry bounds are not
+    used, so every labeling is searched.  ``limit`` (an int of at least 1,
+    or None for all) keeps the first labelings in search order.  Graphs
     needing more than ``budget`` labels (default ``DEFAULT_BUDGET``) are
     refused with :class:`BudgetExceeded`.
 
@@ -687,7 +936,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
     n, e = graph.vertex_count, graph.edge_count
     if n == 0:
         return []
-    steps = _plan(graph, False)
+    steps = _plan(graph).steps
     labels = [0] * n
     found: list[VertexLabeling] = []
 

@@ -111,6 +111,18 @@ def test_transform_lambda_star_refuses_a_graph_without_sides(capsys, monkeypatch
     assert out == "" and err == "error: low-block vertices do not form a partite side\n"
 
 
+def test_transform_graceful_refuses_a_graph_with_too_few_edges(capsys, monkeypatch):
+    import io
+    import sys as _sys
+    # the 3K2 bundle at b = 3 is valid, but 6 vertices cannot take distinct labels in 0..3
+    bundle = {"graph": {"vertex_count": 6, "edges": [[0, 3], [1, 2], [4, 5]]},
+              "labeling": TotalLabeling((1, 2, 7, 9, 3, 8), (5, 6, 4)).to_dict()}
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(json.dumps(bundle)))
+    code, out, err = run(capsys, "transform", "graceful", "-")
+    assert code == 1
+    assert out == "" and err == "error: 6 vertices need more graceful labels than 0..3\n"
+
+
 def test_search_report_matches_in_process(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "double-star", "1", "2", "-o", str(gpath))

@@ -1,6 +1,8 @@
 """The exhaustive search oracle: enumeration, symmetry, budgets."""
 
+import time
 from itertools import permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -14,7 +16,8 @@ from magilab.labelings import classify, consecutive_index_of, is_graceful, magic
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical, count_orbits,
                             feasible_b_set, find_consecutive, find_edge_magic,
-                            find_graceful, _k_window, _plan)
+                            find_graceful, _coset_reps, _enumerate_consecutive,
+                            _k_window, _plan)
 
 P3 = build_path(3).graph
 
@@ -318,10 +321,10 @@ def _group_orbits(graph, labelings):
     return orbits
 
 
-def _small_trees():
+def _small_trees(most=7):
     nx = pytest.importorskip("networkx")
     return [Graph(t.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in t.edges)))
-            for n in range(2, 8) for t in nx.nonisomorphic_trees(n)]
+            for n in range(2, most + 1) for t in nx.nonisomorphic_trees(n)]
 
 
 @pytest.mark.parametrize("canonical_only", [False, True])
@@ -511,13 +514,13 @@ def _brute_force_edge_magic(graph):
     return found
 
 
-@pytest.mark.parametrize("handle", [
+@pytest.mark.parametrize("g", [h.graph for h in (
     build_path(2), build_path(3), build_path(4), build_star(3),
-    build_cycle(3), build_cycle(4), build_double_star(1, 1),
-], ids=["P2", "P3", "P4", "K1,3", "C3", "C4", "DS1,1"])
-def test_edge_magic_engine_matches_brute_force(handle):
-    g = handle.graph
-    assert g.label_count <= 8
+    build_cycle(3), build_cycle(4), build_cycle(5), build_double_star(1, 1))] + [
+    Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))],
+    ids=["P2", "P3", "P4", "K1,3", "C3", "C4", "C5", "DS1,1", "K4-e"])
+def test_edge_magic_engine_matches_brute_force(g):
+    assert g.label_count <= 10
     report = find_edge_magic(SearchQuery(g))
     expected = _brute_force_edge_magic(g)
     assert report.exhausted and report.solution_count == len(expected)
@@ -571,15 +574,32 @@ def _relabelled(graph, perm):
 # C5 with a pendant leaf on two of its vertices, and K2,3 with one leaf
 _C5_LEAVES = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 6)))
 _K23_LEAF = Graph(6, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (4, 5)))
-PLAN_GRAPHS = [build_path(2).graph, build_path(3).graph, build_star(4).graph,
-               build_double_star(2, 3).graph,
+K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+Q3 = Graph(8, tuple((u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit))
+PLAN_GRAPHS = [build_path(2).graph, build_path(3).graph, build_path(5).graph,
+               build_star(4).graph, build_double_star(2, 3).graph,
                build_caterpillar(CaterpillarSpec(3, (2, 0, 1))).graph,
                build_caterpillar(CaterpillarSpec(4, (1, 3, 0, 2))).graph,
                build_caterpillar(CaterpillarSpec(5, (0, 1, 0, 1, 0))).graph,
                _C5_LEAVES, _K23_LEAF, build_complete_bipartite(2, 3).graph,
-               build_cycle(4).graph]
-_PLAN_IDS = ["K2", "P3", "K1,4", "DS2,3", "CS2,0,1", "CS1,3,0,2", "CS0,1,0,1,0",
-             "C5+leaves", "K2,3+leaf", "K2,3", "C4"]
+               build_cycle(4).graph, build_cycle(6).graph, K4, Q3]
+_PLAN_IDS = ["K2", "P3", "P5", "K1,4", "DS2,3", "CS2,0,1", "CS1,3,0,2", "CS0,1,0,1,0",
+             "C5+leaves", "K2,3+leaf", "K2,3", "C4", "C6", "K4", "Q3"]
+
+
+def _stabiliser_bounds(graph, order):
+    """Reference ``below`` from the listed group: for each vertex v, the latest
+    earlier v_i whose orbit under the pointwise stabiliser of v_1..v_(i-1)
+    holds v, or ``n`` when there is none."""
+    n = graph.vertex_count
+    stabiliser = compute_automorphisms(graph)
+    below = [n] * n
+    for i, v in enumerate(order):
+        for p in stabiliser:
+            if p[v] != v:
+                below[p[v]] = v  # later i overwrite earlier ones
+        stabiliser = [p for p in stabiliser if p[v] == v]
+    return below
 
 
 @pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
@@ -592,7 +612,7 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     elif relabel == "shuffled":
         Random(n).shuffle(perm)
     g = _relabelled(graph, perm)
-    steps = _plan(g, True)
+    steps = _plan(g).steps
     order = [step[0] for step in steps]
     assert sorted(order) == list(range(n))
     degree = [len(g.adjacency[v]) for v in order]
@@ -603,15 +623,88 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     for i, step in enumerate(steps[1:], 1):
         assert step[1] is not None and pos[step[1]] < i
     assert sum(step[-1] for step in steps) == n - 1
-    # each twin group is placed in ascending vertex order, so one lower
-    # bound per step (the twin placed just before) enforces the twin rule
+    # each twin group is placed in ascending vertex order
     groups = {}
     for v in order:
         groups.setdefault(frozenset(g.adjacency[v]), []).append(v)
     for group in groups.values():
         assert group == sorted(group)
-        for prev, v in zip([n] + group, group):
-            assert steps[pos[v]][4] == prev
+    # one lower bound per step breaks the whole group, as the listed group says
+    below = _stabiliser_bounds(g, order)
+    assert [step[4] for step in steps] == [below[v] for v in order]
+
+
+def _symmetry_graphs():
+    return _small_trees(8) + [build_cycle(n).graph for n in range(3, 9)] + [
+        K4, build_complete_bipartite(3, 3).graph, Q3]
+
+
+def _twin_classes(graph):
+    groups = {}
+    for v in range(graph.vertex_count):
+        groups.setdefault(graph.adjacency[v], []).append(v)
+    return list(groups.values())
+
+
+def test_coset_representatives_times_twin_orders_give_the_group():
+    """|R| times the product of |C|! over the twin classes is |Aut|, and every
+    r in R is an automorphism that is increasing on each twin class."""
+    for g in _symmetry_graphs():
+        reps = list(_coset_reps(_plan(g)))
+        classes = _twin_classes(g)
+        assert reps[0] == tuple(range(g.vertex_count))
+        assert len(set(reps)) == len(reps)
+        order = len(reps)
+        for group in classes:
+            order *= factorial(len(group))
+        assert order == len(compute_automorphisms(g)), g
+        edges = set(g.edges)
+        for r in reps:
+            assert {tuple(sorted((r[u], r[v]))) for u, v in edges} == edges
+            for group in classes:
+                assert [r[v] for v in group] == sorted(r[v] for v in group)
+
+
+def _leaves(graph, b):
+    """The labelings the DFS itself reaches at offset b, before any expansion:
+    the plan's bounds with R and T cut down to the identity."""
+    plan = _plan(graph)
+    n = graph.vertex_count
+    bare = plan._replace(groups=[[v] for v in range(n)], gens=[])
+    return _enumerate_consecutive(graph, b, None, None, bare, False).labelings
+
+
+def test_the_search_reaches_one_labeling_per_orbit():
+    """At every offset the DFS reaches exactly one labeling per orbit, the least
+    in placement order, and the expansion gives back the full enumeration."""
+    compared = 0
+    for g in _symmetry_graphs():
+        auts = compute_automorphisms(g)
+        order = [step[0] for step in _plan(g).steps]
+        for b in range(g.vertex_count + 1):
+            full = find_consecutive(SearchQuery(g, b=b))
+            leaves = _leaves(g, b)
+            assert len(leaves) == _group_orbits(g, full.labelings), (g, b)
+            assert full.solution_count == len(leaves) * len(auts)
+            for lab in leaves:
+                vl = lab.vertex_labels
+                assert min(tuple(vl[p[v]] for v in order) for p in auts) == \
+                    tuple(vl[v] for v in order)
+            compared += len(leaves) > 0
+    assert compared > 100
+
+
+def test_limit_searches_build_no_twin_group():
+    """K_1,10's ten leaves are twins: its group has 3,628,800 elements, and a
+    search for one labeling must not list them."""
+    star = build_star(10).graph
+    start = time.perf_counter()
+    for query, search in ((SearchQuery(star, b=0, limit=1), find_consecutive),
+                          (SearchQuery(star, b=10, limit=3), find_consecutive),
+                          (SearchQuery(star, limit=1), find_edge_magic)):
+        report = search(query)
+        assert report.solution_count == query.limit and not report.exhausted
+    assert time.perf_counter() - start < 1.0
 
 
 # Small graphs (at most 13 labels) on which the constant window is pinned.
