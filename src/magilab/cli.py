@@ -260,6 +260,10 @@ def _cmd_suite(args) -> int:
         _write(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
     else:
         _write(analysis.format_report_table(reports), args.out)
+    refused = sum(r.verdict == analysis.OUT_OF_BUDGET for r in reports)
+    if refused:
+        print(f"warning: {refused} of {len(reports)} rows refused by the label budget; "
+              f"--budget raises the limit", file=sys.stderr)
     failed = [r for r in reports if r.verdict == analysis.FAIL]
     return 1 if failed else 0
 

@@ -93,6 +93,11 @@ emit only the g o r: in each coset g o r o T they are the one member
 that labels every twin class in ascending vertex order, which is what
 ``canonical_only`` selects.
 
+Both magic engines hand each leaf, its vertex labels and its constant k,
+to one result path, ``_Leaves``.  The DFS tracks edge labels only as
+used bits, so ``_Leaves`` derives each one by definition, k - f(u) - f(v),
+before it expands the orbit.  The DFS reaches one leaf per orbit, so the
+leaves it counts are the orbits, reported as ``SearchReport.orbit_count``.
 Results of the magic searches are reported sorted by vertex-label vector,
 which makes output independent of the internal iteration order.
 """
@@ -169,13 +174,19 @@ class SearchQuery:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one search; ``exhausted`` is False only when a limit cut it short."""
+    """Outcome of one search; ``exhausted`` is False only when a limit cut it short.
+
+    ``orbit_count`` is the number of automorphism orbits the labelings fall
+    into: the search reaches one labeling per orbit and emits that orbit
+    (see ``SearchQuery``), so it counts the orbits it reached.
+    """
 
     labelings: tuple[TotalLabeling, ...]
     constants_found: frozenset[int]
     exhausted: bool
     solution_count: int
     b: Optional[int] = None
+    orbit_count: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -215,10 +226,12 @@ def _plan(graph: Graph) -> _Plan:
     check of the magic engines: once the last non-leaf is placed, that check
     is exact.
 
-    ``steps[i]`` is ``(v, u0, e0, more, below, dw, rest, kids)``: the
-    vertex placed at position i, its first closed edge (earlier vertex u0,
-    edge index e0; ``None`` for the root), its other closed edges as
-    (earlier vertex, edge index) pairs, and its symmetry bound.  ``dw`` is
+    ``steps[i]`` is ``(v, u0, more, below, dw, rest, kids)``: the vertex
+    placed at position i, the earlier vertex u0 of its first closed edge
+    (``None`` for the root), the earlier vertices of its other closed edges,
+    and its symmetry bound.  The steps name no edge: the engines check
+    each closed edge through the labels of its two ends, and the magic
+    engines derive the edge labels at the leaf.  ``dw`` is
     deg(v) - 1, the weight of v's label in the sum check, and ``rest`` the
     total weight of the vertices after position i.  ``kids`` counts the
     later vertices whose first closed edge meets v, the children of v in
@@ -276,20 +289,19 @@ def _plan(graph: Graph) -> _Plan:
     for c in sorted(orbits):  # a later class overwrites an earlier one
         for x in orbits[c][1:]:
             below[groups[x][0]] = groups[c][0]
-    edge_index = graph.edge_index
     kids = [0] * n
     closed = []
     for i, v in enumerate(order):
-        edges = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adj[v] if pos[u] < i]
-        if edges:
-            kids[edges[0][0]] += 1
-        closed.append(edges)
+        earlier = [u for u in adj[v] if pos[u] < i]
+        if earlier:
+            kids[earlier[0]] += 1
+        closed.append(earlier)
     rest = sum(degree) - n
     steps = []
-    for v, edges in zip(order, closed):
-        u0, e0 = edges[0] if edges else (None, None)
+    for v, earlier in zip(order, closed):
         rest -= degree[v] - 1
-        steps.append((v, u0, e0, tuple(edges[1:]), below[v], degree[v] - 1, rest, kids[v]))
+        steps.append((v, earlier[0] if earlier else None, tuple(earlier[1:]), below[v],
+                      degree[v] - 1, rest, kids[v]))
     return _Plan(steps, groups, gens)
 
 
@@ -426,7 +438,7 @@ def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
     labels permuted by p's action on the edges, so each member is two index
     maps applied to the leaf's label tuples.  With ``canonical_only`` only
     t = id is taken: g o r is then the one member of its coset that labels
-    each twin class ascending.  The engines call this at their first leaf,
+    each twin class ascending.  ``_Leaves`` calls this at the first leaf,
     so a search with no labeling makes no maps, and the maps of R and of T
     are made one at a time as a search reads them, so a ``limit`` search
     builds neither group.
@@ -482,11 +494,44 @@ def _k_window(graph: Graph, labels: list[int]):
     return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
 
 
-def _report(sols: list, constants, truncated: bool, b: Optional[int]) -> SearchReport:
-    """Package raw (vertex labels, edge labels) solutions, sorted by vertex labels."""
-    sols.sort()
-    labelings = tuple(TotalLabeling(vl, el) for vl, el in sols)
-    return SearchReport(labelings, frozenset(constants), not truncated, len(sols), b)
+class _Leaves:
+    """The one result path of both magic engines: the DFS hands ``take`` each
+    leaf it reaches, a vertex labeling and its constant k.
+
+    Every edge uv then takes the label k - f(u) - f(v), by definition, and
+    ``_orbit``, built at the first leaf, expands the leaf into its orbit,
+    cut to the room a ``limit`` leaves.  The DFS reaches exactly one leaf
+    per orbit, so ``leaves`` is the number of orbits kept; under a
+    ``limit`` the last one may be cut short, but it is never empty.
+    """
+
+    def __init__(self, graph: Graph, plan: _Plan, limit: Optional[int], canonical_only: bool):
+        self.graph, self.plan = graph, plan
+        self.limit, self.canonical_only = limit, canonical_only
+        self.members = None  # see _orbit
+        self.sols: list[tuple] = []
+        self.constants: set[int] = set()
+        self.leaves = 0
+        self.full = False  # the limit is reached: the search is over
+
+    def take(self, vl: tuple, k: int) -> bool:
+        """Keep the orbit of leaf ``vl`` at constant k; False once the search is over."""
+        if self.members is None:
+            self.members = _orbit(self.graph, self.plan, self.canonical_only)
+        self.leaves += 1
+        self.constants.add(k)
+        el = tuple([k - vl[u] - vl[v] for u, v in self.graph.edges])
+        room = None if self.limit is None else self.limit - len(self.sols)
+        self.sols.extend(islice(self.members(vl, el), room))
+        self.full = len(self.sols) == self.limit
+        return not self.full
+
+    def report(self, b: Optional[int]) -> SearchReport:
+        """The labelings kept, sorted by vertex labels."""
+        self.sols.sort()
+        labelings = tuple(TotalLabeling(vl, el) for vl, el in self.sols)
+        return SearchReport(labelings, frozenset(self.constants), not self.full,
+                            len(self.sols), b, self.leaves)
 
 
 def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
@@ -496,13 +541,14 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     The graph needs an edge.  ``plan`` is the caller's ``_plan`` of it (a
     sweep over offsets builds it once).  The DFS reaches one labeling per
-    orbit, and ``_orbit`` expands it.
+    orbit, and ``_Leaves`` expands and counts it.
 
     Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
     never compete with them.  Each closed edge's sum f(u)+f(v) must be new,
     and the running (lo, hi) of the sums must keep hi - lo < |E|.  At a leaf
     the |E| distinct sums then span exactly |E| - 1, which forces
-    k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}.
+    k = lo + b + |E| and edge labels k - sum filling {b+1 .. b+|E|}, which
+    ``_Leaves`` derives from the vertex labels.
 
     The DFS state is two ints passed down the recursion with (lo, hi) and
     w (below), so nothing is undone on backtracking.  Bit c of ``free`` is set while
@@ -548,12 +594,13 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
+    leaves = _Leaves(graph, plan, limit, canonical_only)
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
     klo, khi = _k_window(graph, pool)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
-        return _report([], (), False, b)
+        return leaves.report(b)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top_label = pool[-1]
@@ -563,30 +610,17 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     fsum0 = (2 << shi) - (1 << slo)
 
     steps = plan.steps
-    members = None  # see _orbit
     labels = [0] * (n + 1)  # a sentinel slot, see _plan
-    sums = [0] * e
     span = e - 1
     span2 = 2 * span
     base = b + e
     # w before any vertex is placed, see the sum check
     w0 = sum(pool) - e * span // 2
-    sols: list[tuple] = []
-    constants: set[int] = set()
-    truncated = False
 
     def place(i, free, fsum, lo, hi, w):
-        nonlocal truncated, members
         if i == n:
-            k = lo + base
-            constants.add(k)
-            if members is None:
-                members = _orbit(graph, plan, canonical_only)
-            room = None if limit is None else limit - len(sols)
-            sols.extend(islice(members(tuple(labels[:n]), tuple([k - s for s in sums])), room))
-            truncated = len(sols) == limit
-            return not truncated
-        v, u0, e0, more, below, dw, rest, kids = steps[i]
+            return leaves.take(tuple(labels[:n]), lo + base)
+        v, u0, more, below, dw, rest, kids = steps[i]
         lu0 = labels[u0]
         cand = free & (fsum >> lu0) & -(2 << labels[below])
         while cand:
@@ -597,7 +631,6 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
             nlo = s if s < lo else lo
             nhi = s if s > hi else hi
             nfsum = fsum ^ (1 << s)
-            sums[e0] = s
             # These later closed edges need no span check of their own.  Each
             # new sum passed the fsum test, so it lies within span of every
             # earlier sum, and only two new sums c + l(u), c + l(u') can be
@@ -614,7 +647,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
             # of u is low (its sum with p is at most c+p+span), so u is in
             # the first part and u' in the second; but every prefix of the
             # plan's order is connected (see _plan).
-            for u, ei in more:
+            for u in more:
                 t = c + labels[u]
                 if not nfsum >> t & 1:
                     break
@@ -623,7 +656,6 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                 if t > nhi:
                     nhi = t
                 nfsum ^= 1 << t
-                sums[ei] = t
             else:
                 nfree = free ^ low
                 if nlo != lo or nhi != hi:
@@ -653,7 +685,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root, _, _, _, _, dw, rest, kids = steps[0]
+    root, _, _, _, dw, rest, kids = steps[0]
     for c in pool:
         free = free0 ^ (1 << c)
         if (free & (fsum0 >> c)).bit_count() < kids:
@@ -661,7 +693,8 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         labels[root] = c
         if not place(1, free, fsum0, top + 1, -1, w0 + dw * c):
             break
-    return _report(sols, constants, truncated, b)
+    place = None  # the closure refers to itself: let the search state go now
+    return leaves.report(b)
 
 
 def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
@@ -672,6 +705,8 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     sums carry no window.  Each k in the degree-sum window (or the pinned
     constant) gets its own DFS, in which placing a vertex forces each closed
     edge's label to k - f(u) - f(v), which must be in range and unused.
+    The DFS keeps those labels only as used bits; ``_Leaves`` derives them
+    again at each leaf, where it expands and counts the orbit.
 
     The DFS state is two ints and r (below) passed down the recursion, so
     nothing is undone on backtracking.  Bit x of ``free`` is set while
@@ -695,7 +730,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
-        return _report([], (), False, None)
+        return SearchReport((), frozenset(), True, 0)
     pool = list(range(1, total + 1))
     klo, khi = _k_window(graph, pool)
     ks = range(klo, khi + 1)
@@ -703,28 +738,17 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
         ks = [magic_constant] if klo <= magic_constant <= khi else []
     plan = _plan(graph)
     steps = plan.steps
-    members = None  # see _orbit
+    leaves = _Leaves(graph, plan, limit, canonical_only)
 
     # bits 1..total: every label free, in both orientations
     free0 = rfree0 = (2 << total) - 2
     mirror = total + 1
     labels = [0] * (n + 1)  # a sentinel slot, see _plan
-    earr = [0] * e
-    sols: list[tuple] = []
-    constants: set[int] = set()
-    truncated = False
 
     def place(i, free, rfree, r):
-        nonlocal truncated, members
         if i == n:
-            constants.add(k)
-            if members is None:
-                members = _orbit(graph, plan, canonical_only)
-            room = None if limit is None else limit - len(sols)
-            sols.extend(islice(members(tuple(labels[:n]), tuple(earr)), room))
-            truncated = len(sols) == limit
-            return not truncated
-        v, u0, e0, more, below, dw, rest, _ = steps[i]
+            return leaves.take(tuple(labels[:n]), k)
+        v, u0, more, below, dw, rest, _ = steps[i]
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
         cand = free & (rfree >> sh if sh >= 0 else rfree << -sh) & -(2 << labels[below])
@@ -737,14 +761,12 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
             el = s - c
             nfree = free ^ low ^ (1 << el)
             nrfree = rfree ^ (1 << (mirror - c)) ^ (1 << (mirror - el))
-            earr[e0] = el
-            for u, ei in more:
+            for u in more:
                 x = k - c - labels[u]
                 if x < 1 or not nfree >> x & 1:  # free has no bit above |V|+|E|
                     break
                 nfree ^= 1 << x
                 nrfree ^= 1 << (mirror - x)
-                earr[ei] = x
             else:
                 nr = r - dw * c
                 if rest:
@@ -758,17 +780,17 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                     return False
         return True
 
-    root, _, _, _, _, dw, _, _ = steps[0]
+    root, _, _, _, dw, _, _ = steps[0]
     t = total * (total + 1) // 2
     for k in ks:
         for c in pool:
             labels[root] = c
             if not place(1, free0 ^ (1 << c), rfree0 ^ (1 << (mirror - c)), e * k - t - dw * c):
                 break
-        if truncated:
+        if leaves.full:
             break
-
-    return _report(sols, constants, truncated, None)
+    place = None  # the closure refers to itself: let the search state go now
+    return leaves.report(None)
 
 
 # ---------------------------------------------------------------------------
@@ -839,25 +861,7 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
 
 def count_canonical(graph: Graph, b: int) -> int:
     """Number of labeling orbits at offset b under the graph's automorphism group."""
-    report = find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True))
-    return count_orbits(graph, report.labelings)
-
-
-def count_orbits(graph: Graph, labelings) -> int:
-    """Number of orbits the automorphism group splits ``labelings`` into.
-
-    The orbit of f is every f o p with p an automorphism.  Two injective
-    vertex labelings f and g share an orbit exactly when they use the same
-    label set and label the edges alike, {{f(u), f(v)}} = {{g(u), g(v)}}
-    over the edges uv.  If f = g o p, both hold because p is a bijection
-    that maps the edges onto the edges.  Conversely, with equal label sets
-    p = g^-1 o f is a bijection of the vertices, and it sends each edge uv
-    to the edge whose g-labels are {f(u), f(v)}, which exists because the
-    labelled edge sets are equal; so p is an automorphism and f = g o p.
-    So the orbits are counted by that key, without listing the group.
-    """
-    return len({(frozenset(vl), frozenset(frozenset((vl[u], vl[v])) for u, v in graph.edges))
-                for vl in (lab.vertex_labels for lab in labelings)})
+    return find_consecutive(SearchQuery(graph=graph, b=b, canonical_only=True)).orbit_count
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +948,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
         if i == n:
             found.append(VertexLabeling(tuple(labels)))
             return limit is None or len(found) < limit
-        v, u0, _, more, _, _, _, _ = steps[i]
+        v, u0, more, _, _, _, _ = steps[i]
         lu0 = labels[u0]
         cand = free & (fdiff << lu0 | rdiff >> (e - lu0))
         while cand:
@@ -954,7 +958,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
             d = abs(c - lu0)
             nfdiff = fdiff ^ (1 << d)
             nrdiff = rdiff ^ (1 << (e - d))
-            for u, _ in more:
+            for u in more:
                 d = abs(c - labels[u])  # never 0: labels[u] is not free
                 if not nfdiff >> d & 1:
                     break
@@ -973,4 +977,5 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
         labels[root] = c
         if not place(1, full ^ (1 << c), full ^ 1, full >> 1):
             break
+    place = None  # the closure refers to itself: let the search state go now
     return found

@@ -451,6 +451,19 @@ def test_suite_max_labels_ignored_outside_caterpillar(capsys, suite):
     assert code == 0 and capped == out
 
 
+def test_suite_warns_on_stderr_when_the_budget_refuses_rows(capsys):
+    code, out, err = run(capsys, "suite", "caterpillar", "--max-labels", "9", "--budget", "5",
+                         "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    refused = sum(row["verdict"] == "out-of-budget" for row in rows)
+    assert 0 < refused < len(rows)
+    assert err == (f"warning: {refused} of {len(rows)} rows refused by the label budget; "
+                   f"--budget raises the limit\n")
+    code, _, err = run(capsys, "suite", "caterpillar", "--max-labels", "9", "--format", "json")
+    assert code == 0 and err == ""
+
+
 def test_suite_smallest_max_labels_checks_p2(capsys):
     code, out, _ = run(capsys, "suite", "caterpillar", "--max-labels", "3", "--format", "json")
     assert code == 0
