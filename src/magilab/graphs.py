@@ -65,6 +65,16 @@ class Graph:
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @cached_property
+    def own_bipartition(self) -> Optional["Bipartition"]:
+        """The graph's own two-colouring (:func:`bipartition_of`), or None
+        when the graph is disconnected or not bipartite.
+
+        Worked out on first use and kept, like ``adjacency``, so classifying
+        many labelings of one graph runs its BFS once.
+        """
+        return bipartition_of(self) if is_connected(self) else None
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Map from sorted endpoint pair to position in the canonical order."""
         return {pair: i for i, pair in enumerate(self.edges)}

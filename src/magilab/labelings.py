@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Bipartition, Graph, bipartition_of, is_connected, require_record
+from .graphs import Bipartition, Graph, require_record
 
 
 class LabelingError(ValueError):
@@ -38,6 +38,20 @@ class TotalLabeling:
         _require_int_labels(vl + el)
         object.__setattr__(self, "vertex_labels", vl)
         object.__setattr__(self, "edge_labels", el)
+
+    @classmethod
+    def trusted(cls, vertex_labels: tuple[int, ...],
+                edge_labels: tuple[int, ...]) -> "TotalLabeling":
+        """A labeling of two tuples that hold only exact ints, built without
+        the check of ``__post_init__``.
+
+        Only for labels a search built itself; every other input goes
+        through the constructor or :meth:`from_dict`, which check it.
+        """
+        labeling = object.__new__(cls)
+        object.__setattr__(labeling, "vertex_labels", vertex_labels)
+        object.__setattr__(labeling, "edge_labels", edge_labels)
+        return labeling
 
     def to_dict(self) -> dict:
         return {"vertex_labels": list(self.vertex_labels),
@@ -200,13 +214,13 @@ def _low_side(graph: Graph, labeling: TotalLabeling, b: int,
     """Name the partite side whose vertex labels are exactly {1..b}.
 
     This is the one place a low block is compared with a bipartition's
-    sides.  ``bipartition`` is used as given; without one, a connected
-    graph's own bipartition is used.  Returns "X" or "Y", or None when the
-    graph is disconnected or not bipartite, or the low block is neither
-    side.
+    sides.  ``bipartition`` is used as given; without one, the graph's own
+    (``Graph.own_bipartition``, worked out once per graph) is used.
+    Returns "X" or "Y", or None when the graph is disconnected or not
+    bipartite, or the low block is neither side.
     """
-    if bipartition is None and is_connected(graph):
-        bipartition = bipartition_of(graph)
+    if bipartition is None:
+        bipartition = graph.own_bipartition
     if bipartition is not None:
         vl = labeling.vertex_labels
         small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)

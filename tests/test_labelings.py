@@ -1,12 +1,16 @@
 """Verification primitives: magic constants, block offsets, gracefulness."""
 
+from random import Random
+
 import pytest
 
-from magilab.graphs import CaterpillarSpec, Graph, build_caterpillar, build_path
+from magilab import graphs
+from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
+                            build_cycle, build_lobster, build_path)
 from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
                                check_total_labeling, classify,
                                consecutive_index_of, is_graceful,
-                               magic_constant_of, neighbor_block_holds)
+                               magic_constant_of, neighbor_block_holds, _low_side)
 from magilab.search import SearchQuery, compute_automorphisms, find_consecutive
 
 # the closed-form labeling of the 4-vertex double star, in canonical
@@ -183,3 +187,59 @@ def test_constructors_keep_int_labels_as_tuples():
     assert lab == P3_LABELING and type(lab.vertex_labels) is tuple
     assert VertexLabeling([0, 2, 1]).vertex_labels == (0, 2, 1)
     assert TotalLabeling((1,), ()).edge_labels == ()
+
+
+def _relabelled(graph, perm):
+    return Graph(graph.vertex_count, tuple((perm[u], perm[v]) for u, v in graph.edges))
+
+
+def test_classify_names_a_side_of_the_graphs_own_bipartition():
+    """Without a bipartition, classify tags the same side as with the graph's
+    own, on caterpillars and lobsters under random numberings."""
+    rng = Random(7)
+    handles = [build_caterpillar(CaterpillarSpec(3, (2, 0, 1))),
+               build_caterpillar(CaterpillarSpec(4, (1, 0, 2, 0))),
+               build_lobster(1), build_lobster(2)]
+    tags = set()
+    for handle in handles:
+        n = handle.graph.vertex_count
+        for _ in range(2):
+            g = _relabelled(handle.graph, rng.sample(range(n), n))
+            own = bipartition_of(g)
+            for b in range(1, n):
+                for lab in find_consecutive(SearchQuery(g, b=b)).labelings:
+                    side = classify(g, lab).side_with_small_labels
+                    assert side == classify(g, lab, own).side_with_small_labels
+                    tags.add(side)
+    assert tags == {"X", "Y"}
+
+
+def test_classify_has_no_side_on_a_graph_without_its_own_bipartition():
+    """3K2 is disconnected and C5 has an odd cycle: neither names a side of
+    its own, though a bipartition given by the caller still counts."""
+    three_k2 = Graph(6, ((0, 3), (1, 2), (4, 5)))
+    lab = TotalLabeling((1, 2, 7, 9, 3, 8), (5, 6, 4))
+    assert three_k2.own_bipartition is None
+    assert classify(three_k2, lab).consecutive_index == 3
+    assert classify(three_k2, lab).side_with_small_labels is None
+    given = Bipartition({0, 1, 4}, {2, 3, 5})
+    assert classify(three_k2, lab, given).side_with_small_labels == "X"
+    c5 = build_cycle(5).graph
+    assert c5.own_bipartition is None
+    assert _low_side(c5, TotalLabeling((1, 2, 8, 9, 10), (3, 4, 5, 6, 7)), 2, None) is None
+
+
+def test_classify_works_out_a_graphs_sides_once(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return bipartition_of(graph)
+
+    monkeypatch.setattr(graphs, "bipartition_of", counted)
+    g = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
+    found = [lab for b in range(1, g.vertex_count)
+             for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
+    sides = [classify(g, lab).side_with_small_labels for lab in found]
+    assert len(found) > 10 and {"X", "Y"} <= set(sides)
+    assert calls == [g]

@@ -13,7 +13,8 @@ from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
                             build_complete_bipartite, build_cycle,
                             build_double_star, build_lobster, build_path,
                             build_star)
-from magilab.labelings import classify, consecutive_index_of, is_graceful, magic_constant_of
+from magilab.labelings import (LabelingError, TotalLabeling, classify, consecutive_index_of,
+                               is_graceful, magic_constant_of)
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
@@ -494,8 +495,6 @@ def test_search_matches_the_sum_window_scan():
 def test_search_report_json_round_trip():
     import json
 
-    from magilab.labelings import TotalLabeling
-
     report = find_consecutive(SearchQuery(P3, b=2))
     record = json.loads(json.dumps(report.to_dict()))
     assert record["b"] == 2 and record["exhausted"] is True
@@ -641,6 +640,40 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     # one lower bound per step breaks the whole group, as the listed group says
     below = _stabiliser_bounds(g, order)
     assert [step[3] for step in steps] == [below[v] for v in order]
+    # the root: highest degree, then least eccentricity, then lowest number
+    root = order[0]
+    top = max(len(nbrs) for nbrs in g.adjacency)
+    eccentricity = {v: max(_distances(g, v)) for v in range(n) if len(g.adjacency[v]) == top}
+    assert root in eccentricity
+    assert eccentricity[root] == min(eccentricity.values())
+    assert root == min(v for v, ecc in eccentricity.items() if ecc == eccentricity[root])
+    assert root == min(groups[frozenset(g.adjacency[root])])
+
+
+def _distances(graph, source):
+    """BFS distance from ``source`` to every vertex of a connected graph."""
+    dist = [None] * graph.vertex_count
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop visits what it appends
+        for w in graph.adjacency[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_plan_roots_a_path_at_a_middle_vertex(n):
+    """Whatever the numbering, P_n's root is one of its middle vertices, so
+    its mirror image is itself or one of the next two vertices placed."""
+    rng = Random(n)
+    for _ in range(10):
+        perm = rng.sample(range(n), n)  # path position i becomes vertex perm[i]
+        steps = _plan(_relabelled(build_path(n).graph, perm)).steps
+        position = perm.index(steps[0][0])
+        assert position in {(n - 1) // 2, n // 2}
+        assert perm[n - 1 - position] in [step[0] for step in steps[:3]]
 
 
 def _symmetry_graphs():
@@ -732,12 +765,39 @@ def _garbage_left(run):
                                     lambda g: find_graceful(g, limit=None)],
                          ids=["edge-magic", "consecutive", "graceful"])
 def test_a_search_leaves_no_state_for_the_cyclic_collector(search):
-    """A finished search frees its state by reference counting: what it leaves
-    for the collector does not grow with the search (K_1,6's full edge-magic
-    enumeration keeps 138,240 labelings, K_1,5's 11,520)."""
+    """A finished search frees its state by reference counting: it leaves
+    nothing for the collector (K_1,6's full edge-magic enumeration keeps
+    138,240 labelings, K_1,5's 11,520)."""
     stars = [build_star(p).graph for p in (5, 6)]
     left = [_garbage_left(lambda: search(g)) for g in stars]
-    assert left[0] == left[1] < 100
+    assert left == [0, 0]
+
+
+@pytest.mark.parametrize("canonical_only", [False, True])
+def test_engine_labelings_are_exact_int_tuples_like_checked_ones(canonical_only):
+    """Search output skips the constructor's check, so it must already be
+    what the check would make: tuples of exact ints, equal and hashing like
+    a labeling built from lists through the constructor."""
+    searches = [SearchQuery(g, b, canonical_only=canonical_only)
+                for g in (P3, build_double_star(2, 2).graph, build_cycle(6).graph)
+                for b in range(g.vertex_count + 1)]
+    searches += [SearchQuery(g, canonical_only=canonical_only)
+                 for g in (P3, build_star(3).graph, build_cycle(4).graph,
+                           build_double_star(1, 2).graph)]
+    seen = 0
+    for query in searches:
+        find = find_edge_magic if query.b is None else find_consecutive
+        for lab in find(query).labelings:
+            checked = TotalLabeling(list(lab.vertex_labels), list(lab.edge_labels))
+            for labels in (lab.vertex_labels, lab.edge_labels):
+                assert type(labels) is tuple and {type(x) for x in labels} == {int}
+            assert lab == checked and hash(lab) == hash(checked)
+            seen += 1
+    assert seen >= 150
+    with pytest.raises(LabelingError):
+        TotalLabeling((1, True), (2,))
+    with pytest.raises(LabelingError):
+        TotalLabeling.from_dict({"vertex_labels": [1.5, 2], "edge_labels": [3]})
 
 
 # Small graphs (at most 13 labels) on which the constant window is pinned.
