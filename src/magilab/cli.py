@@ -120,20 +120,7 @@ def _load_bundle(data: object) -> tuple[Graph, TotalLabeling]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.family == "caterpillar":
-        handle = build_caterpillar(_parse_spine(args.spine))
-    elif args.family == "double-star":
-        handle = build_double_star(args.m, args.n)
-    elif args.family == "lobster":
-        handle = build_lobster(args.p)
-    elif args.family == "cycle":
-        handle = build_cycle(args.length)
-    elif args.family == "path":
-        handle = build_path(args.n)
-    elif args.family == "star":
-        handle = build_star(args.p)
-    else:  # kmn
-        handle = build_complete_bipartite(args.m, args.n)
+    handle = args.build(args)
     if args.format == "dot":
         _write(to_dot(handle.graph, name_map=handle.name_map), args.out)
     else:
@@ -142,17 +129,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.construction == "caterpillar-beta":
-        spec = _parse_spine(args.spine)
-        handle = build_caterpillar(spec)
-        labeling = constructions.caterpillar_beta_labeling(spec)
-    elif args.construction == "caterpillar-super":
-        spec = _parse_spine(args.spine)
-        handle = build_caterpillar(spec)
-        labeling = constructions.caterpillar_super_labeling(spec)
-    else:  # double-star
-        handle = build_double_star(args.m, args.n)
-        labeling = constructions.double_star_consecutive(args.m, args.n, args.variant)
+    handle, labeling = args.build(args)
     if args.format == "dot":
         _write(to_dot(handle.graph, labeling), args.out)
     else:
@@ -160,28 +137,26 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+# transform choice -> name of its function in ``constructions``, looked up per call
+_TRANSFORMS = {"dual": "dual", "lambda-star": "lambda_star", "graceful": "to_graceful",
+               "super": "to_super_edge_magic"}
+
+
 def _cmd_transform(args) -> int:
+    graceful = args.transform == "graceful"
+    if graceful and args.format == "dot":
+        raise CliError("transform graceful writes JSON only, not dot")
     graph, labeling = _load_bundle(_read_json(args.bundle))
     try:
-        if args.transform == "dual":
-            out_lab = constructions.dual(graph, labeling)
-        elif args.transform == "lambda-star":
-            out_lab = constructions.lambda_star(graph, labeling)
-        elif args.transform == "super":
-            out_lab = constructions.to_super_edge_magic(graph, labeling)
-        else:  # graceful
-            graceful = constructions.to_graceful(graph, labeling)
-            payload = {
-                "graph": graph.to_dict(),
-                "graceful": graceful.to_dict(),
-                "is_graceful": is_graceful(graph, graceful),
-            }
-            _write(json.dumps(payload, indent=2), args.out)
-            return 0
+        out_lab = getattr(constructions, _TRANSFORMS[args.transform])(graph, labeling)
     except constructions.ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "dot":
+    if graceful:
+        payload = {"graph": graph.to_dict(), "graceful": out_lab.to_dict(),
+                   "is_graceful": is_graceful(graph, out_lab)}
+        _write(json.dumps(payload, indent=2), args.out)
+    elif args.format == "dot":
         _write(to_dot(graph, out_lab), args.out)
     else:
         _write(json.dumps(_bundle(graph, out_lab), indent=2), args.out)
@@ -218,18 +193,16 @@ def _cmd_search(args) -> int:
             _write(json.dumps({"feasible_b": sorted(feasible), "exhausted": True}),
                    args.out)
             return 0
-        if args.b is None:
-            query = search.SearchQuery(graph, magic_constant=args.k, limit=args.limit,
-                                       canonical_only=args.canonical)
-            report = search.find_edge_magic(query, budget=budget)
-        else:
+        b = None
+        if args.b is not None:
             try:
                 b = int(args.b)
             except ValueError:
                 raise CliError(f"--b expects an integer or 'all', got {args.b!r}")
-            query = search.SearchQuery(graph, b=b, magic_constant=args.k,
-                                       limit=args.limit, canonical_only=args.canonical)
-            report = search.find_consecutive(query, budget=budget)
+        query = search.SearchQuery(graph, b=b, magic_constant=args.k, limit=args.limit,
+                                   canonical_only=args.canonical)
+        find = search.find_edge_magic if b is None else search.find_consecutive
+        report = find(query, budget=budget)
     except search.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 1
@@ -243,19 +216,18 @@ def _cmd_analyze(args) -> int:
     return 0 if witness.t is not None else 1
 
 
+# suite choice -> name of its function in ``analysis``, looked up per call
+_SUITES = {"closing": "closing_claims_suite", "caterpillar": "caterpillar_suite",
+           "lobster": "lobster_suite", "double-star": "double_star_suite"}
+
+
 def _cmd_suite(args) -> int:
     budget = _env_budget(args.budget)
-    if args.suite == "closing":
-        reports = analysis.closing_claims_suite(budget=budget)
-    elif args.suite == "caterpillar":
-        try:
-            reports = analysis.caterpillar_suite(max_labels=args.max_labels, budget=budget)
-        except analysis.SuiteLimitError as exc:  # reworded to name the flag
-            raise CliError(str(exc).replace("max_labels", "--max-labels"))
-    elif args.suite == "lobster":
-        reports = analysis.lobster_suite(budget=budget)
-    else:  # double-star
-        reports = analysis.double_star_suite(budget=budget)
+    cap = {"max_labels": args.max_labels} if args.suite == "caterpillar" else {}
+    try:
+        reports = getattr(analysis, _SUITES[args.suite])(budget=budget, **cap)
+    except analysis.SuiteLimitError as exc:  # reworded to name the flag
+        raise CliError(str(exc).replace("max_labels", "--max-labels"))
     if args.format == "json":
         _write(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
     else:
@@ -281,54 +253,66 @@ def _build_parser() -> argparse.ArgumentParser:
                     "transform, verify, search, and run theorem suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_choices=("json", "dot")):
+    def add_common(p, fmt_choices=("json", "dot"), **defaults):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+        p.set_defaults(**defaults)
 
+    # Each family and construction binds its builder here.  A builder names
+    # library functions through this module's globals or a module attribute,
+    # so every call looks them up afresh: a wrapper installed after the parser
+    # is built still sees the call.
     p = sub.add_parser("gen", help="generate a named family graph")
     gensub = p.add_subparsers(dest="family", required=True)
     g = gensub.add_parser("caterpillar")
     g.add_argument("--spine", required=True, help="comma-separated leaf counts, e.g. 2,1,2")
-    add_common(g)
+    add_common(g, build=lambda a: build_caterpillar(_parse_spine(a.spine)))
     g = gensub.add_parser("double-star")
     g.add_argument("m", type=int)
     g.add_argument("n", type=int)
-    add_common(g)
+    add_common(g, build=lambda a: build_double_star(a.m, a.n))
     g = gensub.add_parser("lobster")
     g.add_argument("-p", type=int, required=True, help="number of legs")
-    add_common(g)
+    add_common(g, build=lambda a: build_lobster(a.p))
     g = gensub.add_parser("cycle")
     g.add_argument("-l", "--length", type=int, required=True)
-    add_common(g)
+    add_common(g, build=lambda a: build_cycle(a.length))
     g = gensub.add_parser("path")
     g.add_argument("-n", type=int, required=True, help="number of vertices")
-    add_common(g)
+    add_common(g, build=lambda a: build_path(a.n))
     g = gensub.add_parser("star")
     g.add_argument("-p", type=int, required=True, help="number of leaves")
-    add_common(g)
+    add_common(g, build=lambda a: build_star(a.p))
     g = gensub.add_parser("kmn")
     g.add_argument("m", type=int)
     g.add_argument("n", type=int)
-    add_common(g)
+    add_common(g, build=lambda a: build_complete_bipartite(a.m, a.n))
     p.set_defaults(func=_cmd_gen)
+
+    def caterpillar_construct(closed_form):
+        def build(args):
+            spec = _parse_spine(args.spine)
+            return build_caterpillar(spec), getattr(constructions, closed_form)(spec)
+        return build
 
     p = sub.add_parser("construct", help="build an explicit labeling")
     consub = p.add_subparsers(dest="construction", required=True)
     c = consub.add_parser("caterpillar-beta")
     c.add_argument("--spine", required=True)
-    add_common(c)
+    add_common(c, build=caterpillar_construct("caterpillar_beta_labeling"))
     c = consub.add_parser("caterpillar-super")
     c.add_argument("--spine", required=True)
-    add_common(c)
+    add_common(c, build=caterpillar_construct("caterpillar_super_labeling"))
     c = consub.add_parser("double-star")
     c.add_argument("m", type=int)
     c.add_argument("n", type=int)
     c.add_argument("--variant", type=int, choices=(1, 2), default=1)
-    add_common(c)
+    add_common(c, build=lambda a: (build_double_star(a.m, a.n),
+                                   constructions.double_star_consecutive(a.m, a.n, a.variant)))
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("transform", help="apply a labeling transform to a bundle")
-    p.add_argument("transform", choices=("dual", "lambda-star", "graceful", "super"))
+    p.add_argument("transform", choices=tuple(_TRANSFORMS))
     p.add_argument("bundle", nargs="?", default="-",
                    help="bundle file with graph+labeling ('-' for stdin)")
     add_common(p)
@@ -364,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("suite", help="run a theorem verification suite")
-    p.add_argument("suite", choices=("closing", "caterpillar", "lobster", "double-star"))
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--max-labels", type=int, default=19,
                    help="caterpillar suite size cap on |V|+|E|")
     p.add_argument("--budget", type=int, default=None)

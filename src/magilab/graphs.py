@@ -70,9 +70,12 @@ class Graph:
         when the graph is disconnected or not bipartite.
 
         Worked out on first use and kept, like ``adjacency``, so classifying
-        many labelings of one graph runs its BFS once.
+        many labelings of one graph checks its connectivity and colours it once.
         """
-        return bipartition_of(self) if is_connected(self) else None
+        try:
+            return bipartition_of(self)
+        except GraphError:  # disconnected
+            return None
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -166,7 +169,7 @@ class CaterpillarSpec:
     def vertex_count(self) -> int:
         return self.spine_length + sum(self.leaf_counts)
 
-    @property
+    @cached_property
     def on_side_x(self) -> tuple[bool, ...]:
         """Side of each vertex in canonical order (see :func:`build_caterpillar`).
 
@@ -180,12 +183,12 @@ class CaterpillarSpec:
             sides.extend([not odd] * count)
         return tuple(sides)
 
-    @property
+    @cached_property
     def alpha(self) -> int:
         """Size of side X."""
         return sum(self.on_side_x)
 
-    @property
+    @cached_property
     def beta(self) -> int:
         """Size of side Y."""
         return self.vertex_count - self.alpha

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from magilab import analysis, cli, constructions, search
 from magilab.cli import main, to_dot
-from magilab.graphs import build_lobster, graph_from_dict
-from magilab.labelings import TotalLabeling
+from magilab.graphs import (CaterpillarSpec, build_caterpillar, build_complete_bipartite,
+                            build_cycle, build_double_star, build_lobster, build_path,
+                            build_star, graph_from_dict)
+from magilab.labelings import TotalLabeling, classify
 
 
 def run(capsys, *argv):
@@ -89,6 +92,15 @@ def test_transform_dual_and_graceful(tmp_path, capsys):
     got = json.loads(out)
     assert got["is_graceful"] is True
     assert got["graceful"]["vertex_labels"] == [3, 0, 1, 2]
+
+
+def test_transform_graceful_refuses_dot_output(tmp_path, capsys):
+    """A graceful labeling is written as JSON only; asking for dot is a usage error."""
+    bundle_path = tmp_path / "bundle.json"
+    run(capsys, "construct", "caterpillar-beta", "--spine", "1,1", "-o", str(bundle_path))
+    code, out, err = run(capsys, "transform", "graceful", str(bundle_path), "--format", "dot")
+    assert code == 2
+    assert out == "" and err == "error: transform graceful writes JSON only, not dot\n"
 
 
 def test_transform_super_rejects_wrong_offset(tmp_path, capsys):
@@ -382,6 +394,76 @@ def test_dot_output(capsys):
     assert out.startswith("graph G {")
     assert '0 [label="6"];' in out
     assert '0 -- 2 [label="4"];' in out
+
+
+SPEC = CaterpillarSpec(3, (2, 1, 2))
+
+GEN_CASES = {
+    "caterpillar": (("--spine", "2,1,2"), lambda: build_caterpillar(SPEC)),
+    "double-star": (("2", "3"), lambda: build_double_star(2, 3)),
+    "lobster": (("-p", "2"), lambda: build_lobster(2)),
+    "cycle": (("-l", "5"), lambda: build_cycle(5)),
+    "path": (("-n", "4"), lambda: build_path(4)),
+    "star": (("-p", "3"), lambda: build_star(3)),
+    "kmn": (("2", "3"), lambda: build_complete_bipartite(2, 3)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("family", GEN_CASES)
+def test_gen_prints_what_the_library_builds(capsys, family, fmt):
+    argv, build = GEN_CASES[family]
+    handle = build()
+    expected = (json.dumps(handle.to_dict(), indent=2) if fmt == "json"
+                else to_dot(handle.graph, name_map=handle.name_map))
+    assert run(capsys, "gen", family, *argv, "--format", fmt) == (0, expected + "\n", "")
+
+
+CONSTRUCT_CASES = [
+    pytest.param(("caterpillar-beta", "--spine", "2,1,2"), lambda: build_caterpillar(SPEC),
+                 lambda: constructions.caterpillar_beta_labeling(SPEC), id="caterpillar-beta"),
+    pytest.param(("caterpillar-super", "--spine", "2,1,2"), lambda: build_caterpillar(SPEC),
+                 lambda: constructions.caterpillar_super_labeling(SPEC), id="caterpillar-super"),
+    pytest.param(("double-star", "2", "3", "--variant", "1"), lambda: build_double_star(2, 3),
+                 lambda: constructions.double_star_consecutive(2, 3, 1), id="double-star-1"),
+    pytest.param(("double-star", "2", "3", "--variant", "2"), lambda: build_double_star(2, 3),
+                 lambda: constructions.double_star_consecutive(2, 3, 2), id="double-star-2"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("argv, build, label", CONSTRUCT_CASES)
+def test_construct_prints_what_the_library_builds(capsys, argv, build, label, fmt):
+    handle, labeling = build(), label()
+    if fmt == "json":
+        expected = json.dumps({"graph": handle.to_dict(), "labeling": labeling.to_dict(),
+                               "classification": classify(handle.graph, labeling).to_dict()},
+                              indent=2)
+    else:
+        expected = to_dot(handle.graph, labeling)
+    assert run(capsys, "construct", *argv, "--format", fmt) == (0, expected + "\n", "")
+
+
+def test_cli_looks_library_functions_up_at_call_time(tmp_path, capsys, monkeypatch):
+    """A wrapper put in place after the parser is built, the way the benchmark's
+    tracer instruments a run, sees every call the CLI makes."""
+    cli._build_parser()
+    calls = []
+    for owner, name in ((cli, "build_lobster"), (constructions, "caterpillar_beta_labeling"),
+                        (analysis, "lobster_suite"), (search, "find_consecutive")):
+        def counted(*args, _raw=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _raw(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    gpath = tmp_path / "L2.json"
+    for argv, name in ((("gen", "lobster", "-p", "2", "-o", str(gpath)), "build_lobster"),
+                       (("construct", "caterpillar-beta", "--spine", "1,1"),
+                        "caterpillar_beta_labeling"),
+                       (("suite", "lobster", "--budget", "2"), "lobster_suite"),
+                       (("search", "--graph", str(gpath), "--b", "0"), "find_consecutive")):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [name]
 
 
 def test_dot_without_labeling_uses_names():

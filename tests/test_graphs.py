@@ -88,6 +88,16 @@ def test_caterpillar_counts(r, counts):
     assert handle.bipartition.sizes == (spec.alpha, spec.beta)
 
 
+def test_caterpillar_sides_are_worked_out_once_per_spec():
+    """The sides are kept on the spec after the first read; equality and
+    hashing still see only the two fields."""
+    spec = CaterpillarSpec(3, (2, 1, 2))
+    fresh = CaterpillarSpec(3, (2, 1, 2))
+    assert spec.on_side_x is spec.on_side_x
+    assert (spec.alpha, spec.beta) == (3, 5)
+    assert spec == fresh and hash(spec) == hash(fresh)
+
+
 def test_double_star_records_centers():
     handle = build_double_star(3, 6)
     assert handle.graph.vertex_count == 11
