@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (CaterpillarSpec, Graph, GraphError, bipartition_of,
+from .graphs import (CaterpillarSpec, Graph, GraphError, _bfs, bipartition_of,
                      build_caterpillar, build_complete_bipartite, build_cycle,
-                     build_double_star, build_lobster, is_connected)
+                     build_double_star, build_lobster)
 from .search import (BudgetExceeded, SearchError, SearchQuery, feasible_b_set,
                      find_consecutive, find_edge_magic, find_graceful)
 
@@ -74,13 +74,20 @@ def _verdict(predicted, observed) -> str:
 # predictions
 # ---------------------------------------------------------------------------
 
+def _sides(graph: Graph, message: str):
+    """``bipartition_of(graph)``, with a disconnected graph refused as a
+    :class:`SearchError` carrying ``message``."""
+    try:
+        return bipartition_of(graph)
+    except GraphError:  # disconnected
+        raise SearchError(message) from None
+
+
 def predicted_b_candidates(graph: Graph) -> set[int]:
     """Admissible block offsets: four side-derived values when bipartite,
     only the two extremes otherwise."""
-    if not is_connected(graph):
-        raise SearchError("predicted_b_candidates requires a connected graph")
     n = graph.vertex_count
-    bipartition = bipartition_of(graph)
+    bipartition = _sides(graph, "predicted_b_candidates requires a connected graph")
     if bipartition is None:
         return {0, n}
     x, y = bipartition.sizes
@@ -134,9 +141,7 @@ def classify_trichotomy(graph: Graph, feasible: set[int],
     from an exhausted search; a search refused by the label budget is
     reported by :func:`_row`, not here.
     """
-    if not is_connected(graph):
-        raise SearchError("trichotomy applies to connected graphs")
-    bipartition = bipartition_of(graph)
+    bipartition = _sides(graph, "trichotomy applies to connected graphs")
     if bipartition is None:
         raise SearchError("trichotomy applies to bipartite graphs")
     desc = description or f"bipartite graph on {graph.vertex_count} vertices"
@@ -241,27 +246,15 @@ def _compositions(total: int, parts: int, prefix=()):
 
 def _tree_certificate(graph: Graph) -> str:
     """Canonical string for a tree: rooted encoding minimized over centers."""
-    n = graph.vertex_count
-    if n == 1:
-        return "()"
+    # the centres are the middle of a longest path a..b: a is a vertex
+    # farthest from any vertex, b a vertex farthest from a
+    a = _bfs(graph, 0)[0][-1]
+    reached, from_a = _bfs(graph, a)
+    b = reached[-1]
+    from_b = _bfs(graph, b)[1]
+    centers = [v for v in range(graph.vertex_count) if from_a[v] + from_b[v] == from_a[b]
+               and abs(from_a[v] - from_b[v]) <= 1]
     adj = graph.adjacency
-    deg = [len(a) for a in adj]
-    live = [True] * n
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        for v in layer:
-            live[v] = False
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                if live[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    centers = [v for v in range(n) if live[v]]
 
     def encode(v: int, parent: int) -> str:
         subs = sorted(encode(u, v) for u in adj[v] if u != parent)

@@ -8,7 +8,6 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -70,7 +69,7 @@ class Graph:
         when the graph is disconnected or not bipartite.
 
         Worked out on first use and kept, like ``adjacency``, so classifying
-        many labelings of one graph checks its connectivity and colours it once.
+        many labelings of one graph makes one breadth-first search of it.
         """
         try:
             return bipartition_of(self)
@@ -336,6 +335,26 @@ def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
 # structural checks
 # ---------------------------------------------------------------------------
 
+def _bfs(graph: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from ``root``, each vertex's neighbours taken in
+    ascending order.
+
+    Returns the vertices in the order the search reaches them and each
+    vertex's distance from ``root``, -1 where the search does not reach.
+    """
+    adj = graph.adjacency
+    dist = [-1] * graph.vertex_count
+    dist[root] = 0
+    order = [root]
+    for u in order:  # the loop visits what it appends
+        d = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                order.append(v)
+    return order, dist
+
+
 def is_connected(graph: Graph) -> bool:
     """True iff a single component covers every vertex (K_1 counts).
 
@@ -347,45 +366,27 @@ def is_connected(graph: Graph) -> bool:
         return True
     if graph.edge_count < n - 1:
         return False
-    adj = graph.adjacency
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                queue.append(v)
-    return reached == n
+    return len(_bfs(graph, 0)[0]) == n
 
 
 def bipartition_of(graph: Graph) -> Optional[Bipartition]:
-    """Two-color a connected graph by breadth-first layering.
+    """Two-color a connected graph by the parity of each vertex's distance
+    from vertex 0, in one breadth-first search.
 
-    Returns None when an odd closed walk makes two-coloring impossible.
-    Disconnected input is rejected because side identity would be arbitrary.
+    Returns None when an edge joins two vertices of equal parity, which
+    closes an odd cycle.  Disconnected input is rejected because side
+    identity would be arbitrary.
     """
-    if not is_connected(graph):
-        raise GraphError("bipartition_of requires a connected graph")
     n = graph.vertex_count
     if n == 0:
         return Bipartition(frozenset(), frozenset())
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    adj = graph.adjacency
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    side_x = frozenset(v for v in range(n) if color[v] == 0)
+    # as in is_connected, too few edges answer without building the adjacency
+    order, dist = _bfs(graph, 0) if graph.edge_count >= n - 1 else ([], [])
+    if len(order) < n:
+        raise GraphError("bipartition_of requires a connected graph")
+    if any(dist[u] % 2 == dist[v] % 2 for u, v in graph.edges):
+        return None
+    side_x = frozenset(v for v in range(n) if dist[v] % 2 == 0)
     return Bipartition(side_x, frozenset(range(n)) - side_x)
 
 

@@ -113,7 +113,7 @@ from itertools import islice, permutations, starmap, tee
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _bfs, is_connected
 from .labelings import TotalLabeling, VertexLabeling
 
 DEFAULT_BUDGET = 22  # maximum |V|+|E| a search accepts unless given a larger budget
@@ -220,17 +220,20 @@ def _plan(graph: Graph) -> _Plan:
     """Placement order as per-position steps, shared by every engine, and the
     bounds that break every automorphism of the graph.
 
-    The order is a BFS from a root over the vertices of degree at least 2,
-    then the leaves, each in the order its neighbour was placed.  Every
-    vertex after the root closes an edge to an earlier one: in
-    a connected graph with at least 3 vertices the root has degree at least
-    2, and the non-leaves induce a connected subgraph (the inner vertices of
-    a path between two non-leaves are non-leaves), so the BFS reaches all of
-    them and every leaf's neighbour is among them; K2 is just the root and
-    its neighbour.  So every prefix of the order induces a connected graph.
-    Leaves come last because they carry no weight in the degree-weighted sum
-    check of the magic engines: once the last non-leaf is placed, that check
-    is exact.
+    The order comes from the BFS from the root that ``_centre`` picked:
+    the vertices of degree at least 2 in the order the BFS reaches them,
+    then the leaves in the order it reaches them.  In a connected graph
+    with at least 3 vertices the root has degree at least 2, so it comes
+    first; K2 is just the root and its neighbour, both leaves.  That is a
+    BFS over the non-leaves followed by the leaves, each in the order its
+    neighbour was placed: a leaf is a dead end, so no non-leaf is reached
+    through one, and each leaf is reached from its one neighbour.  Every
+    vertex after the root closes an edge to an earlier one: the non-leaves
+    induce a connected subgraph (the inner vertices of a path between two
+    non-leaves are non-leaves) and every leaf's neighbour is among them.
+    So every prefix of the order induces a connected graph.  Leaves come last because they carry no weight in the
+    degree-weighted sum check of the magic engines: once the last non-leaf
+    is placed, that check is exact.
 
     The root is the lowest-numbered vertex of least eccentricity among those
     of highest degree (``_centre``).  A high degree closes many edges early,
@@ -238,8 +241,7 @@ def _plan(graph: Graph) -> _Plan:
     image sit close in the order and the symmetry bound of the later one
     prunes early: over every offset of P10, the full enumerations visit
     27,255 DFS nodes from a middle root and 55,924 from a root next to an
-    end.  Only the max-degree vertices get a BFS, which keeps the plan
-    cheap.
+    end.
 
     ``steps[i]`` is ``(v, u0, more, below, dw, rest, kids)``: the vertex
     placed at position i, the earlier vertex u0 of its first closed edge
@@ -254,14 +256,15 @@ def _plan(graph: Graph) -> _Plan:
 
     Twins (equal open neighbourhoods) are placed in ascending vertex order.
     They share their neighbours, are never adjacent and have equal degree.
-    Only a placed neighbour appends a vertex, and the first placed neighbour
-    of a twin class appends every member not yet placed, from its sorted
-    adjacency: in the BFS if the members are non-leaves, in the leaf pass if
-    they are leaves.  Twins also have equal eccentricity: they have the same
-    distance to every other vertex, and distance 2 to each other through a
-    shared neighbour (the graph is connected).  So the root, the
-    lowest-numbered vertex of its degree and eccentricity, is the lowest of
-    its class, and the rest of the class follows it in the same way.
+    Only a visited neighbour appends a vertex to the BFS, and the first
+    visited neighbour of a twin class appends every member not yet reached,
+    from its sorted adjacency; a class is all leaves or all non-leaves, so
+    the split keeps its members in that order.  Twins also have equal
+    eccentricity: they have the same distance to every other vertex, and
+    distance 2 to each other through a shared neighbour (the graph is
+    connected).  So the root, the lowest-numbered vertex of its degree and
+    eccentricity, is the lowest of its class, and the rest of the class
+    follows it in the same way.
     Number the classes in the order their first members are placed: then
     the vertices placed before the first member of class c are members of
     the classes below c.
@@ -277,20 +280,11 @@ def _plan(graph: Graph) -> _Plan:
     n = graph.vertex_count
     adj = graph.adjacency
     degree = [len(nbrs) for nbrs in adj]
-    root = _centre(adj, degree)
-    pos = [n] * n
-    pos[root] = 0
-    order = [root]
-    for u in order:  # BFS over the non-leaves: the loop visits what it appends
-        for v in adj[u]:
-            if pos[v] == n and degree[v] > 1:
-                pos[v] = len(order)
-                order.append(v)
-    for u in order[:]:  # then the leaves, by the position of their neighbour
-        for v in adj[u]:
-            if pos[v] == n:
-                pos[v] = len(order)
-                order.append(v)
+    reached = _centre(graph, degree)[0]
+    order = [v for v in reached if degree[v] > 1] + [v for v in reached if degree[v] < 2]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     ids: dict[tuple, int] = {}
     groups: list[list[int]] = []
     cls = [0] * n
@@ -323,38 +317,13 @@ def _plan(graph: Graph) -> _Plan:
     return _Plan(steps, groups, gens)
 
 
-def _centre(adj, degree) -> int:
-    """The lowest-numbered vertex of least eccentricity among those of
-    highest degree.
-
-    Each BFS stops as soon as it cannot beat the best eccentricity so far,
-    so a later candidate costs at most that many layers.
-    """
+def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
+    """``_bfs`` from the root: the lowest-numbered vertex of least
+    eccentricity among those of highest degree, found by one breadth-first
+    search from each of them."""
     top = max(degree)
-    first = degree.index(top)
-    if top not in degree[first + 1:]:
-        return first
-    n = len(adj)
-    best, root = n, first
-    for v in range(first, n):
-        if degree[v] != top:
-            continue
-        seen = [False] * n
-        seen[v] = True
-        layer, reached, depth = [v], 1, 0
-        while reached < n and depth + 1 < best:
-            depth += 1
-            nxt = []
-            for u in layer:
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(w)
-            reached += len(nxt)
-            layer = nxt
-        if reached == n and depth < best:
-            best, root = depth, v
-    return root
+    return min((_bfs(graph, v) for v, d in enumerate(degree) if d == top),
+               key=lambda search: max(search[1]))
 
 
 def _class_orbits(adj, groups, cls):

@@ -8,10 +8,9 @@ from magilab.analysis import (FAIL, PASS, SuiteLimitError,
                               constant_form_check, double_star_suite,
                               format_report_table, lobster_b_set,
                               lobster_suite, predicted_b_candidates)
-from magilab.graphs import (CaterpillarSpec, GraphError, bipartition_of,
-                            build_caterpillar, build_complete_bipartite,
-                            build_cycle, build_double_star, build_lobster,
-                            build_path)
+from magilab.graphs import (CaterpillarSpec, Graph, GraphError, bipartition_of,
+                            build_complete_bipartite, build_cycle,
+                            build_double_star, build_lobster, build_path)
 from magilab.search import SearchError, feasible_b_set
 
 
@@ -22,6 +21,30 @@ def test_predicted_candidates():
     from magilab.graphs import Graph
     with pytest.raises(SearchError):
         predicted_b_candidates(Graph(4, ((0, 1), (2, 3))))
+
+
+def test_side_checks_search_the_graph_once(monkeypatch):
+    """predicted_b_candidates and classify_trichotomy make one breadth-first
+    search per call, and still refuse a disconnected graph."""
+    from magilab import graphs
+
+    bfs, searches = graphs._bfs, []
+
+    def counted_bfs(graph, root):
+        searches.append(graph)
+        return bfs(graph, root)
+
+    monkeypatch.setattr(graphs, "_bfs", counted_bfs)
+    l3 = build_lobster(3).graph
+    assert predicted_b_candidates(l3) == {0, 3, 4, 7}
+    assert searches == [l3]
+    assert classify_trichotomy(l3, {0, 7}).verdict == PASS
+    assert searches == [l3, l3]
+    two_k2 = Graph(4, ((0, 1), (2, 3)))
+    with pytest.raises(SearchError, match="predicted_b_candidates requires a connected graph"):
+        predicted_b_candidates(two_k2)
+    with pytest.raises(SearchError, match="trichotomy applies to connected graphs"):
+        classify_trichotomy(two_k2, set())
 
 
 @pytest.mark.parametrize("r,counts,expected", [
@@ -142,34 +165,29 @@ def test_feasible_subset_of_predicted():
         assert feasible_b_set(g) <= predicted_b_candidates(g)
 
 
-def _trees_isomorphic(g1, g2):
-    """Reference check: try every degree-respecting vertex bijection."""
-    from itertools import permutations
-
-    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return False
-    n = g1.vertex_count
-    e2 = set(g2.edges)
-    for perm in permutations(range(n)):
-        if all(tuple(sorted((perm[u], perm[v]))) in e2 for u, v in g1.edges):
-            return True
-    return False
-
-
 def test_tree_certificate_matches_isomorphism():
-    from itertools import product as iproduct
+    """Every free tree with at most 10 vertices, long diameters and two
+    centres among them: three numberings of one tree share a certificate,
+    and no two trees do."""
+    nx = pytest.importorskip("networkx")
+    from random import Random
 
     from magilab.analysis import _tree_certificate
 
-    specs = [CaterpillarSpec(r, counts)
-             for r in range(1, 4)
-             for counts in iproduct(range(3), repeat=r)
-             if r + sum(counts) in range(2, 7)]
-    graphs = [build_caterpillar(s).graph for s in specs]
-    for i, gi in enumerate(graphs):
-        for gj in graphs[i + 1:]:
-            same_cert = _tree_certificate(gi) == _tree_certificate(gj)
-            assert same_cert == _trees_isomorphic(gi, gj)
+    rng = Random(19)
+    certificates = set()
+    trees = 0
+    for n in range(1, 11):
+        for tree in nx.nonisomorphic_trees(n):
+            trees += 1
+            found = set()
+            for _ in range(3):
+                perm = rng.sample(range(n), n)
+                found.add(_tree_certificate(Graph(n, tuple((perm[u], perm[v])
+                                                           for u, v in tree.edges))))
+            assert len(found) == 1
+            certificates |= found
+    assert trees == 201 and len(certificates) == trees
 
 
 def test_report_table_renders():

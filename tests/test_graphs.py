@@ -148,8 +148,11 @@ def test_bipartition_of_examples():
     assert bp.side_y == frozenset({1, 3})
     assert bipartition_of(build_cycle(5).graph) is None
     assert bipartition_of(build_complete_bipartite(2, 2).graph).sizes == (2, 2)
-    with pytest.raises(GraphError):
-        bipartition_of(Graph(4, ((0, 1), (2, 3))))
+    # disconnected, with the odd cycle in vertex 0's component or the other
+    for edges in ((), ((0, 1), (2, 3)), ((0, 1), (0, 2), (1, 2), (3, 4)),
+                  ((0, 1), (2, 3), (2, 4), (3, 4))):
+        with pytest.raises(GraphError, match="requires a connected graph"):
+            bipartition_of(Graph(5, edges))
 
 
 def test_is_connected():
@@ -161,6 +164,8 @@ def test_is_connected():
 def test_is_connected_counts_edges_before_building_adjacency():
     g = Graph(10**6)
     assert not is_connected(g)
+    with pytest.raises(GraphError, match="requires a connected graph"):
+        bipartition_of(g)
     assert "adjacency" not in vars(g)
     # |E| = |V| - 1 with a cycle still needs the walk
     assert not is_connected(Graph(5, ((0, 1), (0, 2), (1, 2), (3, 4))))

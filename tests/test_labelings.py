@@ -6,7 +6,7 @@ import pytest
 
 from magilab import graphs
 from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
-                            build_cycle, build_lobster, build_path, is_connected)
+                            build_cycle, build_lobster, build_path)
 from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
                                check_total_labeling, classify,
                                consecutive_index_of, is_graceful,
@@ -230,24 +230,25 @@ def test_classify_has_no_side_on_a_graph_without_its_own_bipartition():
 
 
 def test_classify_works_out_a_graphs_sides_once(monkeypatch):
-    """One colouring and one connectivity check per graph, however many
-    labelings of it are classified."""
-    calls, connectivity_checks = [], []
+    """One colouring, and so one breadth-first search, per graph, however
+    many labelings of it are classified."""
+    g = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
+    found = [lab for b in range(1, g.vertex_count)
+             for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
+    calls, searches = [], []
 
     def counted(graph):
         calls.append(graph)
         return bipartition_of(graph)
 
-    def counted_is_connected(graph):
-        connectivity_checks.append(graph)
-        return is_connected(graph)
+    def counted_bfs(graph, root):
+        searches.append(graph)
+        return bfs(graph, root)
 
+    bfs = graphs._bfs
     monkeypatch.setattr(graphs, "bipartition_of", counted)
-    monkeypatch.setattr(graphs, "is_connected", counted_is_connected)
-    g = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
-    found = [lab for b in range(1, g.vertex_count)
-             for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
+    monkeypatch.setattr(graphs, "_bfs", counted_bfs)
     sides = [classify(g, lab).side_with_small_labels for lab in found]
     assert len(found) > 10 and {"X", "Y"} <= set(sides)
     assert calls == [g]
-    assert connectivity_checks == [g]
+    assert searches == [g]

@@ -610,16 +610,21 @@ def _stabiliser_bounds(graph, order):
     return below
 
 
+def _plan_input(graph, relabel):
+    """``graph`` as named, reversed or shuffled (seeded by its size)."""
+    perm = list(range(graph.vertex_count))
+    if relabel == "reversed":
+        perm.reverse()
+    elif relabel == "shuffled":
+        Random(graph.vertex_count).shuffle(perm)
+    return _relabelled(graph, perm)
+
+
 @pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
 @pytest.mark.parametrize("graph", PLAN_GRAPHS, ids=_PLAN_IDS)
 def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel):
     n = graph.vertex_count
-    perm = list(range(n))
-    if relabel == "reversed":
-        perm.reverse()
-    elif relabel == "shuffled":
-        Random(n).shuffle(perm)
-    g = _relabelled(graph, perm)
+    g = _plan_input(graph, relabel)
     steps = _plan(g).steps
     order = [step[0] for step in steps]
     assert sorted(order) == list(range(n))
@@ -648,6 +653,24 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     assert eccentricity[root] == min(eccentricity.values())
     assert root == min(v for v, ecc in eccentricity.items() if ecc == eccentricity[root])
     assert root == min(groups[frozenset(g.adjacency[root])])
+
+
+@pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
+@pytest.mark.parametrize("graph", PLAN_GRAPHS, ids=_PLAN_IDS)
+def test_plan_order_is_a_bfs_over_the_non_leaves_then_the_leaves(graph, relabel):
+    """The exact order, against a two-pass reference from the same root: a
+    BFS over the non-leaves, then the leaves by their neighbour's position,
+    a neighbour's leaves in ascending order."""
+    g = _plan_input(graph, relabel)
+    adj = g.adjacency
+    order = [step[0] for step in _plan(g).steps]
+    expected = [order[0]]
+    for u in expected:  # the loop visits what it appends
+        expected += [w for w in adj[u] if len(adj[w]) > 1 and w not in expected]
+    pos = {v: i for i, v in enumerate(expected)}
+    leaves = [v for v in range(g.vertex_count) if v not in pos]
+    expected += sorted(leaves, key=lambda v: (pos[adj[v][0]], v))
+    assert order == expected
 
 
 def _distances(graph, source):
