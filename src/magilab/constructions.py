@@ -147,18 +147,11 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     b = _block_structure(graph, labeling)
     vl = labeling.vertex_labels
     el = labeling.edge_labels
-    if b == 0:
-        new_v = [n + 2 * e + 1 - x for x in vl]
-        new_e = [e + 1 - x for x in el]
-    elif b == n:
-        new_v = [n + 1 - x for x in vl]
-        new_e = [2 * n + e + 1 - x for x in el]
-    else:
-        if _low_side(graph, labeling, b, bipartition) is None:
-            raise ConstructionError("low-block vertices do not form a partite side")
-        new_v = [b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]
-        new_e = [2 * b + e + 1 - x for x in el]
-    return TotalLabeling(tuple(new_v), tuple(new_e))
+    if 0 < b < n and _low_side(graph, labeling, b, bipartition) is None:
+        raise ConstructionError("low-block vertices do not form a partite side")
+    # b = 0 and b = |V| are this formula with an empty low or high block
+    return TotalLabeling(tuple([b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]),
+                         tuple([2 * b + e + 1 - x for x in el]))
 
 
 def _side_split(graph: Graph, labeling: TotalLabeling) -> int:

@@ -464,10 +464,9 @@ def graph_from_dict(data: dict):
     if not isinstance(family, dict):
         raise GraphError(f"bad graph record: family {family!r} is not an object")
     kind = family.get("kind")
-    try:
-        entry = _FAMILIES.get(kind)
-    except TypeError:  # an unhashable kind
-        raise GraphError(f"bad family descriptor for kind {kind!r}: not a family name") from None
+    if "kind" in family and not isinstance(kind, str):
+        raise GraphError(f"bad family descriptor for kind {kind!r}: not a family name")
+    entry = _FAMILIES.get(kind)
     if entry is None:
         return graph
     parse, size, build = entry

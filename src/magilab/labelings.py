@@ -153,7 +153,9 @@ def _offset_of(graph: Graph, labeling: TotalLabeling, k: Optional[int]) -> Optio
     """The block offset of a checked labeling whose common edge sum is ``k``.
 
     ``k`` is what :func:`magic_constant_of` returned for it; None (not
-    edge-magic, or no edges) gives None.
+    edge-magic, or no edges) gives None.  The labels are a bijection onto
+    1..|V|+|E|, so a contiguous edge block has 1 <= lo and hi <= |V|+|E|,
+    which puts b = lo - 1 in 0..|V|.
     """
     if k is None:
         return None
@@ -161,10 +163,7 @@ def _offset_of(graph: Graph, labeling: TotalLabeling, k: Optional[int]) -> Optio
     hi = max(labeling.edge_labels)
     if hi - lo + 1 != graph.edge_count:
         return None
-    b = lo - 1
-    if not 0 <= b <= graph.vertex_count:
-        return None
-    return b
+    return lo - 1
 
 
 def neighbor_block_holds(graph: Graph, labeling: TotalLabeling, b: int) -> bool:
@@ -242,7 +241,7 @@ def classify(graph: Graph, labeling: TotalLabeling,
     """
     k = magic_constant_of(graph, labeling)
     b = _offset_of(graph, labeling, k)
-    is_super = b is not None and b == graph.vertex_count and graph.vertex_count > 0
+    is_super = b == graph.vertex_count  # False when b is None
     side = (_low_side(graph, labeling, b, bipartition)
             if b is not None and 0 < b < graph.vertex_count else None)
     return LabelingClassification(k, b, is_super, side)

@@ -40,11 +40,9 @@ candidate label.  It uses sum over edges of (f(u) + f(v)) =
 sum of deg(v) * f(v): the placed vertices fix part of it, and the unplaced
 ones add sum of (deg - 1) * f, which lies between their total weight times
 the lowest and the highest free label.  Leaves weigh nothing, so with
-leaves last that share is exactly 0 once the last non-leaf is placed.  The
-consecutive engine adds a forward check: it keeps a label only if enough
-free labels remain for the children the vertex has in the placement tree.
-Both checks rest only on that identity, the sum window and labels (and
-sums) being distinct, which is the definition itself, so they grade
+leaves last that share is exactly 0 once the last non-leaf is placed.
+The check rests only on that identity, the sum window and labels (and
+sums) being distinct, which is the definition itself, so it grades
 nothing.
 
 The consecutive engine also drops a branch as soon as a free label is dead,
@@ -240,19 +238,17 @@ def _plan(graph: Graph) -> _Plan:
     and a central root keeps the BFS layers few, so a vertex and its mirror
     image sit close in the order and the symmetry bound of the later one
     prunes early: over every offset of P10, the full enumerations visit
-    27,255 DFS nodes from a middle root and 55,924 from a root next to an
+    38,564 DFS nodes from a middle root and 73,692 from a root next to an
     end.
 
-    ``steps[i]`` is ``(v, u0, more, below, dw, rest, kids)``: the vertex
+    ``steps[i]`` is ``(v, u0, more, below, dw, rest)``: the vertex
     placed at position i, the earlier vertex u0 of its first closed edge
     (``None`` for the root), the earlier vertices of its other closed edges,
     and its symmetry bound.  The steps name no edge: the engines check
     each closed edge through the labels of its two ends, and the magic
     engines derive the edge labels at the leaf.  ``dw`` is
     deg(v) - 1, the weight of v's label in the sum check, and ``rest`` the
-    total weight of the vertices after position i.  ``kids`` counts the
-    later vertices whose first closed edge meets v, the children of v in
-    the placement tree.
+    total weight of the vertices after position i.
 
     Twins (equal open neighbourhoods) are placed in ascending vertex order.
     They share their neighbours, are never adjacent and have equal degree.
@@ -301,19 +297,13 @@ def _plan(graph: Graph) -> _Plan:
     for c in sorted(orbits):  # a later class overwrites an earlier one
         for x in orbits[c][1:]:
             below[groups[x][0]] = groups[c][0]
-    kids = [0] * n
-    closed = []
-    for i, v in enumerate(order):
-        earlier = [u for u in adj[v] if pos[u] < i]
-        if earlier:
-            kids[earlier[0]] += 1
-        closed.append(earlier)
     rest = sum(degree) - n
     steps = []
-    for v, earlier in zip(order, closed):
+    for i, v in enumerate(order):
+        earlier = [u for u in adj[v] if pos[u] < i]
         rest -= degree[v] - 1
         steps.append((v, earlier[0] if earlier else None, tuple(earlier[1:]), below[v],
-                      degree[v] - 1, rest, kids[v]))
+                      degree[v] - 1, rest))
     return _Plan(steps, groups, gens)
 
 
@@ -594,10 +584,6 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     meeting those bounds is dropped.  When ``rest`` is 0 the share is 0:
     w must be divisible by |E| and give L in range.
 
-    Forward check: each kid of v (see ``_plan``) will need its own free
-    label whose sum with v's label is still in ``fsum``, so a label for v
-    that leaves fewer such labels than v has kids is dropped.
-
     Dead-label check: every final sum lies in [A, B] = [nhi - span,
     nlo + span], and every free label x will sit on an edge whose other end
     holds a pool label, so x needs a pool partner y with A <= x + y <= B
@@ -644,7 +630,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     def place(i, free, fsum, lo, hi, w):
         if i == n:
             return leaves.take(tuple(labels[:n]), lo + base)
-        v, u0, more, below, dw, rest, kids = steps[i]
+        v, u0, more, below, dw, rest = steps[i]
         lu0 = labels[u0]
         cand = free & (fsum >> lu0) & -(2 << labels[below])
         while cand:
@@ -700,8 +686,6 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                         continue
                 elif nw % e or not e * (nhi - span) <= nw <= e * nlo:
                     continue
-                if kids and (nfree & (nfsum >> c)).bit_count() < kids:
-                    continue
                 labels[v] = c
                 if not place(i + 1, nfree, nfsum, nlo, nhi, nw):
                     return False  # the search is over
@@ -709,13 +693,10 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root, _, _, _, dw, rest, kids = steps[0]
+    root, _, _, _, dw, _ = steps[0]
     for c in pool:
-        free = free0 ^ (1 << c)
-        if (free & (fsum0 >> c)).bit_count() < kids:
-            continue
         labels[root] = c
-        if not place(1, free, fsum0, top + 1, -1, w0 + dw * c):
+        if not place(1, free0 ^ (1 << c), fsum0, top + 1, -1, w0 + dw * c):
             break
     place = None  # the closure refers to itself: let the search state go now
     return leaves.report(b)
@@ -772,7 +753,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     def place(i, free, rfree, r):
         if i == n:
             return leaves.take(tuple(labels[:n]), k)
-        v, u0, more, below, dw, rest, _ = steps[i]
+        v, u0, more, below, dw, rest = steps[i]
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
         cand = free & (rfree >> sh if sh >= 0 else rfree << -sh) & -(2 << labels[below])
@@ -804,7 +785,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                     return False
         return True
 
-    root, _, _, _, dw, _, _ = steps[0]
+    root, _, _, _, dw, _ = steps[0]
     t = total * (total + 1) // 2
     for k in ks:
         for c in pool:
@@ -973,7 +954,7 @@ def find_graceful(graph: Graph, limit: Optional[int] = 1,
         if i == n:
             found.append(VertexLabeling(tuple(labels)))
             return limit is None or len(found) < limit
-        v, u0, more, _, _, _, _ = steps[i]
+        v, u0, more, _, _, _ = steps[i]
         lu0 = labels[u0]
         cand = free & (fdiff << lu0 | rdiff >> (e - lu0))
         while cand:

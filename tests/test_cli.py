@@ -94,6 +94,16 @@ def test_transform_dual_and_graceful(tmp_path, capsys):
     assert got["graceful"]["vertex_labels"] == [3, 0, 1, 2]
 
 
+def test_transform_dual_writes_dot(tmp_path, capsys):
+    bundle_path = tmp_path / "bundle.json"
+    run(capsys, "construct", "caterpillar-beta", "--spine", "1,1", "-o", str(bundle_path))
+    code, out, err = run(capsys, "transform", "dual", str(bundle_path), "--format", "dot")
+    assert (code, err) == (0, "")
+    # P4's beta labeling (6, 1, 2, 7)/(5, 4, 3) complemented in 8
+    assert out.startswith("graph G {")
+    assert '0 [label="2"];' in out and '0 -- 2 [label="4"];' in out
+
+
 def test_transform_graceful_refuses_dot_output(tmp_path, capsys):
     """A graceful labeling is written as JSON only; asking for dot is a usage error."""
     bundle_path = tmp_path / "bundle.json"
@@ -133,6 +143,16 @@ def test_transform_graceful_refuses_a_graph_with_too_few_edges(capsys, monkeypat
     code, out, err = run(capsys, "transform", "graceful", "-")
     assert code == 1
     assert out == "" and err == "error: 6 vertices need more graceful labels than 0..3\n"
+
+
+def test_verify_with_too_few_vertex_labels_exits_1(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    lpath = tmp_path / "lab.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    lpath.write_text(json.dumps({"vertex_labels": [1, 2], "edge_labels": [3, 4]}))
+    code, out, err = run(capsys, "verify", str(gpath), str(lpath))
+    assert code == 1
+    assert out == "" and err == "error: expected 3 vertex labels, got 2\n"
 
 
 def test_search_report_matches_in_process(tmp_path, capsys):
@@ -351,6 +371,18 @@ def test_search_unhashable_family_kind_exits_2(tmp_path, capsys, kind):
     code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
     assert code == 2
     assert out == "" and "bad family descriptor for kind" in err
+
+
+def test_search_non_integer_offset_or_env_budget_exits_2(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.json"
+    run(capsys, "gen", "path", "-n", "3", "-o", str(gpath))
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "abc")
+    assert code == 2
+    assert out == "" and err == "error: --b expects an integer or 'all', got 'abc'\n"
+    monkeypatch.setenv("MAGILAB_BUDGET", "abc")
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "1")
+    assert code == 2
+    assert out == "" and err == "error: MAGILAB_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_search_single_offset_budget(tmp_path, capsys, monkeypatch):

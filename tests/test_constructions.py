@@ -230,6 +230,21 @@ def test_lambda_star_rejects_non_consecutive():
         lambda_star(p3, TotalLabeling((1, 2, 3), (4, 5)))
 
 
+@pytest.mark.parametrize("graph, labeling, message", [
+    # magic with k = 9 at b = 1, but the one edge joins the two high labels
+    (Graph(3, ((1, 2),)), TotalLabeling((1, 3, 4), (2,)),
+     "vertex labels do not split into one block per partite side"),
+    # magic with k = 10, but the edge labels 4 and 2 are no block
+    (build_path(3).graph, TotalLabeling((1, 5, 3), (4, 2)),
+     "input labeling is not consecutive edge-magic"),
+], ids=["crossing", "not-consecutive"])
+@pytest.mark.parametrize("transform", [lambda_star, to_graceful, to_super_edge_magic])
+def test_side_transforms_refuse_a_labeling_without_the_block_structure(
+        graph, labeling, message, transform):
+    with pytest.raises(ConstructionError, match=message):
+        transform(graph, labeling)
+
+
 # ---------------------------------------------------------------------------
 # dual and lambda_star over every small caterpillar
 # ---------------------------------------------------------------------------

@@ -316,12 +316,21 @@ def test_json_family_must_be_an_object(family):
         graph_from_dict(record)
 
 
-@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
-def test_json_family_kind_must_be_hashable(kind):
+@pytest.mark.parametrize("kind", [[], {}, 5, True, 1.5, None],
+                         ids=["list", "object", "int", "bool", "float", "null"])
+def test_json_family_kind_must_be_a_string(kind):
     record = build_path(3).to_dict()
     record["family"] = {"kind": kind}
     with pytest.raises(GraphError, match="bad family descriptor for kind"):
         graph_from_dict(record)
+
+
+@pytest.mark.parametrize("family", [{}, {"kind": "mystery"}, {"kind": ""}],
+                         ids=["no-kind", "unknown", "empty"])
+def test_json_family_without_a_known_kind_loads_a_bare_graph(family):
+    record = build_path(3).to_dict()
+    record["family"] = family
+    assert graph_from_dict(record) == build_path(3).graph
 
 
 @pytest.mark.parametrize("changes", [

@@ -170,6 +170,13 @@ def test_edge_magic_rejects_offset_query_and_disconnected():
         find_edge_magic(SearchQuery(Graph(4, ((0, 1), (2, 3)))))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_edge_magic_search_of_a_graph_without_edges_is_empty_and_exhausted(n):
+    report = find_edge_magic(SearchQuery(Graph(n)))
+    assert report.exhausted
+    assert (report.labelings, report.constants_found, report.solution_count) == ((), frozenset(), 0)
+
+
 def test_edge_magic_double_star_constants_even():
     report = find_edge_magic(SearchQuery(build_double_star(2, 2).graph,
                                          canonical_only=True))
@@ -465,7 +472,7 @@ def _sum_window_scan(graph, b):
 
 
 def test_search_matches_the_sum_window_scan():
-    """The window, dead-label, sum and forward checks cut no labeling: on
+    """The window, dead-label and sum checks cut no labeling: on
     every tree with at most 7 vertices, two cycles and two K_m,n, at every
     offset, the search finds exactly the reference labelings, and with
     ``canonical_only`` exactly those that label each twin group in
@@ -584,15 +591,23 @@ _C5_LEAVES = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 6)))
 _K23_LEAF = Graph(6, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (4, 5)))
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 Q3 = Graph(8, tuple((u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit))
+# graphs #152, #167 and #174 of the Atlas of Graphs (Read and Wilson): on
+# #152 the class backtracker meets classes of one colour that no
+# automorphism swaps; #167 and #174 have consecutive labelings (40 and 72)
+ATLAS_152 = Graph(6, ((0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)))
+ATLAS_167 = Graph(6, ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+ATLAS_174 = Graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)))
 PLAN_GRAPHS = [build_path(2).graph, build_path(3).graph, build_path(5).graph,
                build_star(4).graph, build_double_star(2, 3).graph,
                build_caterpillar(CaterpillarSpec(3, (2, 0, 1))).graph,
                build_caterpillar(CaterpillarSpec(4, (1, 3, 0, 2))).graph,
                build_caterpillar(CaterpillarSpec(5, (0, 1, 0, 1, 0))).graph,
                _C5_LEAVES, _K23_LEAF, build_complete_bipartite(2, 3).graph,
-               build_cycle(4).graph, build_cycle(6).graph, K4, Q3]
+               build_cycle(4).graph, build_cycle(6).graph, K4, Q3,
+               ATLAS_152, ATLAS_167, ATLAS_174]
 _PLAN_IDS = ["K2", "P3", "P5", "K1,4", "DS2,3", "CS2,0,1", "CS1,3,0,2", "CS0,1,0,1,0",
-             "C5+leaves", "K2,3+leaf", "K2,3", "C4", "C6", "K4", "Q3"]
+             "C5+leaves", "K2,3+leaf", "K2,3", "C4", "C6", "K4", "Q3",
+             "atlas152", "atlas167", "atlas174"]
 
 
 def _stabiliser_bounds(graph, order):
@@ -626,6 +641,7 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     n = graph.vertex_count
     g = _plan_input(graph, relabel)
     steps = _plan(g).steps
+    assert all(len(step) == 6 for step in steps)
     order = [step[0] for step in steps]
     assert sorted(order) == list(range(n))
     degree = [len(g.adjacency[v]) for v in order]
@@ -635,7 +651,6 @@ def test_plan_places_leaves_last_and_closes_an_edge_at_every_step(graph, relabel
     assert steps[0][1] is None
     for i, step in enumerate(steps[1:], 1):
         assert step[1] is not None and pos[step[1]] < i
-    assert sum(step[-1] for step in steps) == n - 1
     # each twin group is placed in ascending vertex order
     groups = {}
     for v in order:
@@ -701,7 +716,7 @@ def test_plan_roots_a_path_at_a_middle_vertex(n):
 
 def _symmetry_graphs():
     return _small_trees(8) + [build_cycle(n).graph for n in range(3, 9)] + [
-        K4, build_complete_bipartite(3, 3).graph, Q3]
+        K4, build_complete_bipartite(3, 3).graph, Q3, ATLAS_152, ATLAS_167, ATLAS_174]
 
 
 def _twin_classes(graph):
