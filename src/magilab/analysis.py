@@ -247,14 +247,20 @@ def _compositions(total: int, parts: int, prefix=()):
 def _tree_certificate(graph: Graph) -> str:
     """Canonical string for a tree: rooted encoding minimized over centers."""
     # the centres are the middle of a longest path a..b: a is a vertex
-    # farthest from any vertex, b a vertex farthest from a
+    # farthest from any vertex, b a vertex farthest from a; in a tree each
+    # vertex but a has one neighbour nearer to a, so walking those from b
+    # follows the path
     a = _bfs(graph, 0)[0][-1]
     reached, from_a = _bfs(graph, a)
-    b = reached[-1]
-    from_b = _bfs(graph, b)[1]
-    centers = [v for v in range(graph.vertex_count) if from_a[v] + from_b[v] == from_a[b]
-               and abs(from_a[v] - from_b[v]) <= 1]
     adj = graph.adjacency
+
+    def toward_a(v: int) -> int:
+        return next(u for u in adj[v] if from_a[u] < from_a[v])
+
+    b = v = reached[-1]
+    for _ in range(from_a[b] // 2):
+        v = toward_a(v)
+    centers = [v, toward_a(v)] if from_a[b] % 2 else [v]
 
     def encode(v: int, parent: int) -> str:
         subs = sorted(encode(u, v) for u in adj[v] if u != parent)

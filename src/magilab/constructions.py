@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional
 
-from .graphs import Bipartition, CaterpillarSpec, Graph, GraphError
+from .graphs import Bipartition, CaterpillarSpec, Graph, GraphError, _require_int, _unchecked
 from .labelings import (TotalLabeling, VertexLabeling, _low_side, _offset_of,
                         magic_constant_of)
 
@@ -46,7 +46,7 @@ def caterpillar_beta_labeling(spec: CaterpillarSpec) -> TotalLabeling:
     top = n + beta  # alpha + 2*beta
     low, high = count(1), count(top)
     vl = tuple(next(high) if on_x else next(low) for on_x in spec.on_side_x)
-    return TotalLabeling(vl, tuple(range(top - 1, beta, -1)))
+    return TotalLabeling.trusted(vl, tuple(range(top - 1, beta, -1)))
 
 
 def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:
@@ -63,21 +63,23 @@ def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:
     """
     if variant not in (1, 2):
         raise ConstructionError("variant must be 1 or 2")
+    _require_int("double star parameter", "m", m)
+    _require_int("double star parameter", "n", n)
     if m < 1 or n < 1:
         raise GraphError("double star needs m >= 1 and n >= 1")
-    spec = CaterpillarSpec(2, (m, n))  # rejects non-integer sizes
+    spec = CaterpillarSpec(2, (m, n))
     if variant == 1:
         return caterpillar_beta_labeling(spec)
     top, k = 2 * m + 2 * n + 3, 4 * m + 2 * n + 6
     vl = (top, *range(2, m + 2), 1, *range(top - n, top))
     el = [k - top - x for x in vl[1:m + 2]] + [k - 1 - x for x in vl[m + 2:]]
-    return TotalLabeling(vl, tuple(el))
+    return TotalLabeling.trusted(vl, tuple(el))
 
 
 def _slide(labeling: TotalLabeling, b: int, n: int, e: int) -> TotalLabeling:
     """Slide the vertex labels above b down by |E| and the edge labels up by |V| - b."""
-    return TotalLabeling(tuple(x if x <= b else x - e for x in labeling.vertex_labels),
-                         tuple(x + n - b for x in labeling.edge_labels))
+    return TotalLabeling.trusted(tuple([x if x <= b else x - e for x in labeling.vertex_labels]),
+                                 tuple([x + n - b for x in labeling.edge_labels]))
 
 
 def caterpillar_super_labeling(spec: CaterpillarSpec) -> TotalLabeling:
@@ -104,8 +106,8 @@ def dual(graph: Graph, labeling: TotalLabeling) -> TotalLabeling:
     if magic_constant_of(graph, labeling) is None:
         raise ConstructionError("dual requires an edge-magic labeling")
     top = graph.label_count + 1
-    return TotalLabeling(tuple(top - x for x in labeling.vertex_labels),
-                         tuple(top - x for x in labeling.edge_labels))
+    return TotalLabeling.trusted(tuple([top - x for x in labeling.vertex_labels]),
+                                 tuple([top - x for x in labeling.edge_labels]))
 
 
 def _block_structure(graph: Graph, labeling: TotalLabeling) -> int:
@@ -150,8 +152,9 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     if 0 < b < n and _low_side(graph, labeling, b, bipartition) is None:
         raise ConstructionError("low-block vertices do not form a partite side")
     # b = 0 and b = |V| are this formula with an empty low or high block
-    return TotalLabeling(tuple([b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]),
-                         tuple([2 * b + e + 1 - x for x in el]))
+    return TotalLabeling.trusted(
+        tuple([b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]),
+        tuple([2 * b + e + 1 - x for x in el]))
 
 
 def _side_split(graph: Graph, labeling: TotalLabeling) -> int:
@@ -177,7 +180,9 @@ def to_graceful(graph: Graph, labeling: TotalLabeling,
         raise ConstructionError(
             f"{graph.vertex_count} vertices need more graceful labels than 0..{graph.edge_count}")
     top = graph.edge_count + b + graph.vertex_count
-    return VertexLabeling(tuple(x - 1 if x <= b else top - x for x in labeling.vertex_labels))
+    return _unchecked(VertexLabeling,
+                      vertex_labels=tuple([x - 1 if x <= b else top - x
+                                           for x in labeling.vertex_labels]))
 
 
 def to_super_edge_magic(graph: Graph, labeling: TotalLabeling,

@@ -17,6 +17,35 @@ class GraphError(ValueError):
     """Malformed graph, bipartition, or family parameters."""
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built
+    without running ``__post_init__``.
+
+    Only for values the library built or checked itself, already in the
+    normal form ``__post_init__`` would give them (tuples, sorted edges,
+    exact ints); anything from outside goes through the constructor or a
+    ``from_dict``, which check it.  Each field is set as ``__post_init__``
+    sets one, with ``object.__setattr__``: writing ``obj.__dict__`` instead
+    would give every instance a dictionary of its own, about 190 bytes more.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _require_int(what: str, key: str, value) -> int:
+    """Return ``value`` if it is exactly an int; raise GraphError otherwise.
+
+    int() would turn 2.7 into 2, and ``True`` would stand for 1:
+    ``build_lobster(True)`` would build L_1 and write a record saying
+    ``"p": true``, which the JSON loader refuses.
+    """
+    if type(value) is not int:
+        raise GraphError(f"bad {what}: {key}={value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with a canonical edge order.
@@ -239,6 +268,13 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
     closed forms in :mod:`magilab.constructions` label vertices by walking
     this order without building the graph, so changing the order means
     changing them too.  Sides come from ``spec.on_side_x``.
+
+    Built unchecked (``spec`` checked its own parameters).  Every edge
+    joins a spine vertex to a later vertex: first its own leaves, then the
+    next spine vertex, which follows them.  So each pair is sorted and the
+    list is in lexicographic order.  The names take 0..|V|-1 in turn.  An
+    edge joins a spine vertex to one of its leaves or to the next spine
+    vertex, and ``on_side_x`` puts each of those on the other side.
     """
     names: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
@@ -254,25 +290,39 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
             names[f"c{i}_{j}"] = idx
             edges.append((spine, idx))
             idx += 1
-    graph = Graph(idx, tuple(edges))
+    graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges))
     side_x = frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x)
     bip = Bipartition(side_x, frozenset(range(idx)) - side_x)
     family = {"kind": "caterpillar", "leaf_counts": list(spec.leaf_counts)}
-    return FamilyHandle(graph, bip, names, family)
+    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names, family=family)
 
 
 def build_double_star(m: int, n: int) -> FamilyHandle:
-    """Two adjacent centers, u with m leaves and v with n leaves."""
+    """Two adjacent centers, u with m leaves and v with n leaves.
+
+    The caterpillar S_{m,n} under a double-star descriptor; its graph, names
+    and sides are those of :func:`build_caterpillar`, which need no check.
+    """
+    _require_int("double star parameter", "m", m)
+    _require_int("double star parameter", "n", n)
     if m < 1 or n < 1:
         raise GraphError("double star needs m >= 1 and n >= 1")
     base = build_caterpillar(CaterpillarSpec(2, (m, n)))
     family = {"kind": "double_star", "m": m, "n": n,
               "center_u": "c1", "center_v": "c2"}
-    return FamilyHandle(base.graph, base.bipartition, base.name_map, family)
+    return _unchecked(FamilyHandle, graph=base.graph, bipartition=base.bipartition,
+                      name_map=base.name_map, family=family)
 
 
 def build_lobster(p: int) -> FamilyHandle:
-    """Spider with p legs of length two: x - y_i - x_i for i = 1..p."""
+    """Spider with p legs of length two: x - y_i - x_i for i = 1..p.
+
+    Built unchecked: the edges (0, i) and then (i, p + i), i ascending in
+    each run, are sorted pairs in lexicographic order; x, y_i and x_i name
+    0, 1..p and p+1..2p; every edge joins some y_i (side Y) to x or x_i
+    (side X).
+    """
+    _require_int("lobster parameter", "p", p)
     if p < 1:
         raise GraphError("lobster needs p >= 1")
     names = {"x": 0}
@@ -281,54 +331,86 @@ def build_lobster(p: int) -> FamilyHandle:
         names[f"x{i}"] = p + i
     edges = [(0, i) for i in range(1, p + 1)]
     edges += [(i, p + i) for i in range(1, p + 1)]
-    graph = Graph(2 * p + 1, tuple(edges))
+    graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges))
     side_x = frozenset({0} | {p + i for i in range(1, p + 1)})
     bip = Bipartition(side_x, frozenset(range(1, p + 1)))
-    return FamilyHandle(graph, bip, names, {"kind": "lobster", "p": p})
+    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+                      family={"kind": "lobster", "p": p})
 
 
 def build_cycle(length: int) -> FamilyHandle:
+    """Cycle v_0 v_1 ... v_{length-1} v_0.
+
+    Built unchecked: the closing edge is written (0, length-1), right after
+    (0, 1), so the sorted pairs stand in lexicographic order; v_i names i;
+    for even length every edge joins an even vertex to an odd one, and an
+    odd cycle gets no sides.
+    """
+    _require_int("cycle parameter", "length", length)
     if length < 3:
         raise GraphError("cycle length must be >= 3")
-    edges = [(i, (i + 1) % length) for i in range(length)]
-    graph = Graph(length, tuple(edges))
+    edges = [(0, 1), (0, length - 1)] + [(i, i + 1) for i in range(1, length - 1)]
+    graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges))
     bip = None
     if length % 2 == 0:
         evens = frozenset(range(0, length, 2))
         bip = Bipartition(evens, frozenset(range(1, length, 2)))
     names = {f"v{i}": i for i in range(length)}
-    return FamilyHandle(graph, bip, names, {"kind": "cycle", "length": length})
+    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+                      family={"kind": "cycle", "length": length})
 
 
 def build_path(n: int) -> FamilyHandle:
+    """Path v_0 v_1 ... v_{n-1}.
+
+    Built unchecked: the edges (i, i+1), i ascending, are sorted pairs in
+    lexicographic order; v_i names i; every edge joins an even vertex to an
+    odd one.
+    """
+    _require_int("path parameter", "n", n)
     if n < 1:
         raise GraphError("path needs at least one vertex")
     edges = [(i, i + 1) for i in range(n - 1)]
-    graph = Graph(n, tuple(edges))
+    graph = _unchecked(Graph, vertex_count=n, edges=tuple(edges))
     evens = frozenset(range(0, n, 2))
     bip = Bipartition(evens, frozenset(range(1, n, 2)))
     names = {f"v{i}": i for i in range(n)}
-    return FamilyHandle(graph, bip, names, {"kind": "path", "n": n})
+    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+                      family={"kind": "path", "n": n})
 
 
 def build_star(p: int) -> FamilyHandle:
-    """Star with p leaves; identical to the one-spine caterpillar."""
+    """Star with p leaves; identical to the one-spine caterpillar.
+
+    Its graph, names and sides are those of :func:`build_caterpillar`,
+    which need no check.
+    """
+    _require_int("star parameter", "p", p)
     if p < 1:
         raise GraphError("star needs p >= 1")
     base = build_caterpillar(CaterpillarSpec(1, (p,)))
-    return FamilyHandle(base.graph, base.bipartition, base.name_map,
-                        {"kind": "star", "p": p})
+    return _unchecked(FamilyHandle, graph=base.graph, bipartition=base.bipartition,
+                      name_map=base.name_map, family={"kind": "star", "p": p})
 
 
 def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
+    """K_{m,n}: x_1..x_m are 0..m-1, y_1..y_n are m..m+n-1.
+
+    Built unchecked: the edges (i, m+j), i and then j ascending, are sorted
+    pairs in lexicographic order; the names take 0..m+n-1; every edge joins
+    an x to a y.
+    """
+    _require_int("complete bipartite parameter", "m", m)
+    _require_int("complete bipartite parameter", "n", n)
     if m < 1 or n < 1:
         raise GraphError("complete bipartite graph needs m, n >= 1")
     edges = [(i, m + j) for i in range(m) for j in range(n)]
-    graph = Graph(m + n, tuple(edges))
+    graph = _unchecked(Graph, vertex_count=m + n, edges=tuple(edges))
     bip = Bipartition(frozenset(range(m)), frozenset(range(m, m + n)))
     names = {f"x{i + 1}": i for i in range(m)}
     names.update({f"y{j + 1}": m + j for j in range(n)})
-    return FamilyHandle(graph, bip, names, {"kind": "complete_bipartite", "m": m, "n": n})
+    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+                      family={"kind": "complete_bipartite", "m": m, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +494,10 @@ def require_record(data, what: str, keys, error: type) -> None:
             raise error(f"bad {what} record: missing key {key!r}")
 
 
-def _int_param(family: dict, key: str) -> int:
-    value = family[key]
-    # build_lobster(True) would quietly build L_1
-    if type(value) is not int:
-        raise GraphError(f"bad family descriptor: {key}={value!r} is not an integer")
-    return value
-
-
 def _ints(*keys):
     """Descriptor parser for a family whose parameters are plain ints."""
-    return lambda family: tuple(_int_param(family, key) for key in keys)
+    return lambda family: tuple(_require_int("family descriptor", key, family[key])
+                                for key in keys)
 
 
 def _caterpillar_spec(family: dict) -> tuple:
@@ -455,7 +530,9 @@ def graph_from_dict(data: dict):
     descriptor carries, if any), otherwise a bare :class:`Graph`.  The
     vertex and edge counts the parameters imply are compared with the
     record's before anything is built, so the work stays proportional to
-    the record's size whatever the parameters ask for.
+    the record's size whatever the parameters ask for.  ``Graph.from_dict``
+    is the check of the record; the family builders build unchecked, so the
+    rebuild costs no second one.
     """
     graph = Graph.from_dict(data)
     family = data.get("family")

@@ -45,8 +45,13 @@ class TotalLabeling:
         """A labeling of two tuples that hold only exact ints, built without
         the check of ``__post_init__``.
 
-        Only for labels a search built itself; every other input goes
-        through the constructor or :meth:`from_dict`, which check it.
+        For labels the library computed itself: a search's leaves, and the
+        closed forms and transforms, whose labels are int arithmetic on
+        ranges or on a labeling that was checked on its way in.  Input from
+        outside goes through the constructor or :meth:`from_dict`, which
+        check it.  This is :func:`magilab.graphs._unchecked` with its loop
+        unrolled: a search builds one labeling per leaf kept, and the loop
+        costs about 0.4 us more per labeling.
         """
         labeling = object.__new__(cls)
         object.__setattr__(labeling, "vertex_labels", vertex_labels)

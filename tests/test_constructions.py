@@ -1,5 +1,6 @@
 """Closed-form labelings and the transforms between them."""
 
+import re
 from itertools import product
 
 import pytest
@@ -8,10 +9,11 @@ from magilab.constructions import (ConstructionError, caterpillar_beta_labeling,
                                    caterpillar_super_labeling,
                                    double_star_consecutive, dual, lambda_star,
                                    to_graceful, to_super_edge_magic)
-from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, build_caterpillar,
-                            build_double_star, build_path)
-from magilab.labelings import (LabelingError, TotalLabeling, check_total_labeling,
-                               classify, consecutive_index_of, is_graceful)
+from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, GraphError,
+                            build_caterpillar, build_double_star, build_path)
+from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
+                               check_total_labeling, classify, consecutive_index_of,
+                               is_graceful)
 from magilab.search import SearchQuery, find_consecutive
 
 
@@ -308,6 +310,62 @@ def test_checks_still_reject_malformed_labelings(labeling):
     for check in (classify, consecutive_index_of, dual, lambda_star):
         with pytest.raises(LabelingError):
             check(g, labeling)
+
+
+def _library_outputs():
+    """Every closed form and transform output on the caterpillars with
+    r <= 5 and on both double-star variants."""
+    for r in range(1, 6):
+        for counts in product(range(4), repeat=r):
+            spec, handle = _cat(r, counts)
+            if handle.graph.edge_count == 0:
+                continue
+            g, bip = handle.graph, handle.bipartition
+            beta = caterpillar_beta_labeling(spec)
+            sup = caterpillar_super_labeling(spec)
+            yield from (beta, sup, to_super_edge_magic(g, beta), to_graceful(g, beta))
+            for lab in (beta, sup):
+                yield from (dual(g, lab), lambda_star(g, lab, bip))
+    for m, n in product(range(1, 5), repeat=2):
+        g = build_double_star(m, n).graph
+        for variant in (1, 2):
+            lab = double_star_consecutive(m, n, variant)
+            yield from (lab, dual(g, lab), lambda_star(g, lab), to_super_edge_magic(g, lab),
+                        to_graceful(g, lab))
+
+
+def test_library_outputs_equal_checked_labelings():
+    # closed forms and transforms build their output unchecked; the checked
+    # constructors must accept it and give it back unchanged
+    for out in _library_outputs():
+        labels = (out.vertex_labels,)
+        if isinstance(out, TotalLabeling):
+            labels += (out.edge_labels,)
+            assert TotalLabeling(*labels) == out
+        else:
+            assert VertexLabeling(*labels) == out
+        assert all(type(part) is tuple for part in labels)
+        assert all(type(x) is int for part in labels for x in part)
+
+
+@pytest.mark.parametrize("vertex_labels, edge_labels, message", [
+    ((6, 1, 2, True), (5, 4, 3), "bad labeling record: label True is not an integer"),
+    ((6, 1.0, 2, 7), (5, 4, 3), "bad labeling record: label 1.0 is not an integer"),
+    ((6, 1, 2, 8), (5, 4, 3), "label 8 outside 1..7"),
+    ((6, 1, 2, 7), (5, 4, 0), "label 0 outside 1..7"),
+    ((6, 1, 2, 6), (5, 4, 3), "label 6 used twice"),
+], ids=["bool", "float", "above", "zero", "repeated"])
+def test_transforms_still_refuse_malformed_input(vertex_labels, edge_labels, message):
+    g = build_caterpillar(CaterpillarSpec(2, (1, 1))).graph  # P4
+    for transform in (dual, lambda_star, to_graceful, to_super_edge_magic):
+        with pytest.raises(LabelingError, match=f"^{re.escape(message)}$"):
+            transform(g, TotalLabeling(vertex_labels, edge_labels))
+
+
+@pytest.mark.parametrize("m, n", [("a", 2), (1, 2.0), (True, 1)])
+def test_double_star_form_refuses_non_integer_sizes(m, n):
+    with pytest.raises(GraphError, match="not an integer"):
+        double_star_consecutive(m, n)
 
 
 # ---------------------------------------------------------------------------

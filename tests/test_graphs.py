@@ -1,11 +1,11 @@
 """Graph containers, family generators, and structural checks."""
 
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, GraphError,
+from magilab.graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, GraphError,
                             bipartition_of, build_caterpillar,
                             build_complete_bipartite, build_cycle,
                             build_double_star, build_lobster, build_path,
@@ -196,6 +196,43 @@ def test_generators_respect_bipartition():
             continue
         handle.bipartition.validate_for(handle.graph)
         assert 0 in handle.bipartition.side_x
+
+
+def _every_family_handle():
+    """What each family builder builds over a grid of its parameters."""
+    for r in range(1, 5):
+        for counts in product(range(4), repeat=r):
+            yield build_caterpillar(CaterpillarSpec(r, counts))
+    for a in range(1, 7):
+        yield from (build_lobster(a), build_path(a), build_star(a), build_cycle(a + 2),
+                    build_cycle(a + 6))
+        for b in range(1, 6):
+            yield from (build_double_star(a, b), build_complete_bipartite(a, b))
+
+
+def test_unchecked_builds_equal_the_checked_constructors():
+    # the builders skip Graph's and FamilyHandle's checks; both must accept
+    # what was built and give it back unchanged
+    for handle in _every_family_handle():
+        g = handle.graph
+        assert type(g.vertex_count) is int and type(g.edges) is tuple
+        assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in g.edges)
+        assert Graph(g.vertex_count, g.edges) == g, handle.family
+        checked = FamilyHandle(g, handle.bipartition, handle.name_map, handle.family)
+        assert checked == handle, handle.family
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_path, (True,)), (build_path, (2.0,)), (build_lobster, (True,)),
+    (build_lobster, ("2",)), (build_cycle, (3.0,)), (build_cycle, (True,)),
+    (build_star, (True,)), (build_star, (1.5,)), (build_double_star, ("a", 2)),
+    (build_double_star, (1, 0.5)), (build_complete_bipartite, (True, 2)),
+    (build_complete_bipartite, (1, None)),
+], ids=lambda x: getattr(x, "__name__", None) or repr(x))
+def test_builders_refuse_non_integer_parameters(build, args):
+    # what a builder accepts, the JSON loader must read back
+    with pytest.raises(GraphError, match=r"^bad [a-z ]+ parameter: [a-z]+=.* is not an integer$"):
+        build(*args)
 
 
 def _has_odd_cycle(graph):
