@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (CaterpillarSpec, Graph, GraphError, _bfs, bipartition_of,
-                     build_caterpillar, build_complete_bipartite, build_cycle,
-                     build_double_star, build_lobster)
+from .graphs import (CaterpillarSpec, Graph, GraphError, _bfs, _double_star_sizes,
+                     _require_int, bipartition_of, build_caterpillar, build_complete_bipartite,
+                     build_cycle, build_double_star, build_lobster)
 from .search import (BudgetExceeded, SearchError, SearchQuery, feasible_b_set,
                      find_consecutive, find_edge_magic, find_graceful)
 
@@ -115,11 +115,12 @@ def lobster_b_set(p: int) -> set[int]:
 def constant_form_check(m: int, n: int, k: int) -> ConstantFormWitness:
     """Try to write k as gcd(m,n)*t + 6 with t >= 0.
 
-    The double star S_{m,n} exists only for m, n >= 1; other sizes raise
-    :class:`GraphError`.
+    The double star S_{m,n} exists only for ints m, n >= 1; other sizes,
+    ``True`` and ``1.5`` included, raise :class:`GraphError`, and so does a
+    k that is not exactly an int.
     """
-    if m < 1 or n < 1:
-        raise GraphError("double star needs m >= 1 and n >= 1")
+    _double_star_sizes(m, n)
+    _require_int("magic constant", "k", k)
     d = math.gcd(m, n)
     t = None
     if k >= 6 and (k - 6) % d == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional
 
-from .graphs import Bipartition, CaterpillarSpec, Graph, GraphError, _require_int, _unchecked
+from .graphs import Bipartition, CaterpillarSpec, Graph, _double_star_sizes, _unchecked
 from .labelings import (TotalLabeling, VertexLabeling, _low_side, _offset_of,
                         magic_constant_of)
 
@@ -63,10 +63,7 @@ def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:
     """
     if variant not in (1, 2):
         raise ConstructionError("variant must be 1 or 2")
-    _require_int("double star parameter", "m", m)
-    _require_int("double star parameter", "n", n)
-    if m < 1 or n < 1:
-        raise GraphError("double star needs m >= 1 and n >= 1")
+    _double_star_sizes(m, n)
     spec = CaterpillarSpec(2, (m, n))
     if variant == 1:
         return caterpillar_beta_labeling(spec)

@@ -34,6 +34,13 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _sides(side_x: frozenset, n: int) -> "Bipartition":
+    """The bipartition with side X ``side_x`` of the vertices 0..n-1, built
+    unchecked: only for a ``side_x`` the caller knows two-colours its graph
+    and holds vertex 0 when n > 0."""
+    return _unchecked(Bipartition, side_x=side_x, side_y=frozenset(range(n)) - side_x)
+
+
 def _require_int(what: str, key: str, value) -> int:
     """Return ``value`` if it is exactly an int; raise GraphError otherwise.
 
@@ -46,19 +53,34 @@ def _require_int(what: str, key: str, value) -> int:
     return value
 
 
+def _double_star_sizes(m, n) -> None:
+    """Raise GraphError unless m and n are ints of at least 1: the sizes of
+    a double star S_{m,n}."""
+    _require_int("double star parameter", "m", m)
+    _require_int("double star parameter", "n", n)
+    if m < 1 or n < 1:
+        raise GraphError("double star needs m >= 1 and n >= 1")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with a canonical edge order.
 
     Each edge pair is stored sorted and the edge list is sorted
     lexicographically; labelings index edges by that order, so the
-    canonical form is what makes labeling files reproducible.
+    canonical form is what makes labeling files reproducible.  The vertex
+    count and every endpoint must be exactly ``int``: ``True`` or ``1.0``
+    is refused before any structural check, as in a JSON record.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # int() would turn 1.9 into 1, and True would stand for vertex 1
+        for x in (self.vertex_count, *(x for edge in self.edges for x in edge)):
+            if type(x) is not int:
+                raise GraphError(f"bad graph record: {x!r} is not an integer")
         if self.vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
         canon = []
@@ -133,11 +155,6 @@ class Graph:
         if not (isinstance(edges, (list, tuple))
                 and all(isinstance(edge, (list, tuple)) and len(edge) == 2 for edge in edges)):
             raise GraphError("bad graph record: edges must be an array of [u, v] pairs")
-        edges = tuple(tuple(edge) for edge in edges)
-        # Graph() itself accepts 1.9 or True as a vertex; a record must not
-        for x in (n, *(x for edge in edges for x in edge)):
-            if type(x) is not int:
-                raise GraphError(f"bad graph record: {x!r} is not an integer")
         return cls(n, edges)
 
 
@@ -291,8 +308,7 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
             edges.append((spine, idx))
             idx += 1
     graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges))
-    side_x = frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x)
-    bip = Bipartition(side_x, frozenset(range(idx)) - side_x)
+    bip = _sides(frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x), idx)
     family = {"kind": "caterpillar", "leaf_counts": list(spec.leaf_counts)}
     return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names, family=family)
 
@@ -303,10 +319,7 @@ def build_double_star(m: int, n: int) -> FamilyHandle:
     The caterpillar S_{m,n} under a double-star descriptor; its graph, names
     and sides are those of :func:`build_caterpillar`, which need no check.
     """
-    _require_int("double star parameter", "m", m)
-    _require_int("double star parameter", "n", n)
-    if m < 1 or n < 1:
-        raise GraphError("double star needs m >= 1 and n >= 1")
+    _double_star_sizes(m, n)
     base = build_caterpillar(CaterpillarSpec(2, (m, n)))
     family = {"kind": "double_star", "m": m, "n": n,
               "center_u": "c1", "center_v": "c2"}
@@ -332,8 +345,7 @@ def build_lobster(p: int) -> FamilyHandle:
     edges = [(0, i) for i in range(1, p + 1)]
     edges += [(i, p + i) for i in range(1, p + 1)]
     graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges))
-    side_x = frozenset({0} | {p + i for i in range(1, p + 1)})
-    bip = Bipartition(side_x, frozenset(range(1, p + 1)))
+    bip = _sides(frozenset({0} | {p + i for i in range(1, p + 1)}), 2 * p + 1)
     return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
                       family={"kind": "lobster", "p": p})
 
@@ -353,8 +365,7 @@ def build_cycle(length: int) -> FamilyHandle:
     graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges))
     bip = None
     if length % 2 == 0:
-        evens = frozenset(range(0, length, 2))
-        bip = Bipartition(evens, frozenset(range(1, length, 2)))
+        bip = _sides(frozenset(range(0, length, 2)), length)
     names = {f"v{i}": i for i in range(length)}
     return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
                       family={"kind": "cycle", "length": length})
@@ -372,8 +383,7 @@ def build_path(n: int) -> FamilyHandle:
         raise GraphError("path needs at least one vertex")
     edges = [(i, i + 1) for i in range(n - 1)]
     graph = _unchecked(Graph, vertex_count=n, edges=tuple(edges))
-    evens = frozenset(range(0, n, 2))
-    bip = Bipartition(evens, frozenset(range(1, n, 2)))
+    bip = _sides(frozenset(range(0, n, 2)), n)
     names = {f"v{i}": i for i in range(n)}
     return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
                       family={"kind": "path", "n": n})
@@ -406,7 +416,7 @@ def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
         raise GraphError("complete bipartite graph needs m, n >= 1")
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     graph = _unchecked(Graph, vertex_count=m + n, edges=tuple(edges))
-    bip = Bipartition(frozenset(range(m)), frozenset(range(m, m + n)))
+    bip = _sides(frozenset(range(m)), m + n)
     names = {f"x{i + 1}": i for i in range(m)}
     names.update({f"y{j + 1}": m + j for j in range(n)})
     return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
@@ -457,19 +467,20 @@ def bipartition_of(graph: Graph) -> Optional[Bipartition]:
 
     Returns None when an edge joins two vertices of equal parity, which
     closes an odd cycle.  Disconnected input is rejected because side
-    identity would be arbitrary.
+    identity would be arbitrary.  Otherwise the sides are built unchecked:
+    every edge joins an even distance to an odd one, and vertex 0, at
+    distance 0, is in side X.
     """
     n = graph.vertex_count
     if n == 0:
-        return Bipartition(frozenset(), frozenset())
+        return _sides(frozenset(), 0)
     # as in is_connected, too few edges answer without building the adjacency
     order, dist = _bfs(graph, 0) if graph.edge_count >= n - 1 else ([], [])
     if len(order) < n:
         raise GraphError("bipartition_of requires a connected graph")
     if any(dist[u] % 2 == dist[v] % 2 for u, v in graph.edges):
         return None
-    side_x = frozenset(v for v in range(n) if dist[v] % 2 == 0)
-    return Bipartition(side_x, frozenset(range(n)) - side_x)
+    return _sides(frozenset(v for v in range(n) if dist[v] % 2 == 0), n)
 
 
 # ---------------------------------------------------------------------------

@@ -874,50 +874,22 @@ def count_canonical(graph: Graph, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 def compute_automorphisms(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """Exact automorphism group via degree refinement plus backtracking.
+    """Every automorphism of a connected graph as a vertex map, in sorted order.
 
-    Intended for the desk-scale graphs searched here (<= 16 vertices or so);
-    the refinement collapses most of the search and the backtracker checks
-    adjacency against every previously mapped vertex.
+    This lists the group the searches break: every r o t with r in R and t
+    in T, the split Aut = R.T of the module docstring, each automorphism
+    once.  K0 gives the one empty map.  A disconnected graph raises
+    :class:`SearchError`, as the placement plan covers one component.
     """
-    n = graph.vertex_count
-    if n == 0:
+    if not is_connected(graph):
+        raise SearchError("compute_automorphisms requires a connected graph")
+    if graph.vertex_count == 0:
         return ((),)
-    adj = [frozenset(nbrs) for nbrs in graph.adjacency]
-    color = [len(adj[v]) for v in range(n)]
-    while True:
-        sig = [(color[v], tuple(sorted(color[u] for u in adj[v]))) for v in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        refined = [palette[s] for s in sig]
-        if refined == color:
-            break
-        color = refined
-
-    mapping = [-1] * n
-    used = [False] * n
-    perms: list[tuple[int, ...]] = []
-
-    def extend(v: int) -> None:
-        if v == n:
-            perms.append(tuple(mapping))
-            return
-        for w in range(n):
-            if used[w] or color[w] != color[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj[v]) != (mapping[u] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                mapping[v] = -1
-
-    extend(0)
-    return tuple(perms)
+    plan = _plan(graph)
+    twins = [group for group in plan.groups if len(group) > 1]
+    # _twin_perms rewrites one list in place: keep a copy of each map
+    ts = [tuple(t) for t in _twin_perms(twins, list(range(graph.vertex_count)), 0)]
+    return tuple(sorted(tuple([r[v] for v in t]) for r in _coset_reps(plan) for t in ts))
 
 
 # ---------------------------------------------------------------------------

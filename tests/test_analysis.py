@@ -1,5 +1,7 @@
 """Theorem predictions and their comparison against the search oracle."""
 
+import re
+
 import pytest
 
 from magilab.analysis import (FAIL, PASS, SuiteLimitError,
@@ -80,6 +82,19 @@ def test_constant_form_check_refuses_a_double_star_that_cannot_exist(m, n):
     # (0, 0) divided by gcd 0, and (-2, 2) passed as gcd 2
     with pytest.raises(GraphError, match="double star needs m >= 1 and n >= 1"):
         constant_form_check(m, n, 18)
+
+
+@pytest.mark.parametrize("m,n,k,message", [
+    (True, 2, 18, "bad double star parameter: m=True is not an integer"),
+    (1.5, 2, 18, "bad double star parameter: m=1.5 is not an integer"),
+    (2, 2.0, 18, "bad double star parameter: n=2.0 is not an integer"),
+    (2, 2, 18.0, "bad magic constant: k=18.0 is not an integer"),
+    (2, 2, "18", "bad magic constant: k='18' is not an integer"),
+])
+def test_constant_form_check_refuses_values_that_are_not_ints(m, n, k, message):
+    # m=True passed as 1, m=1.5 reached math.gcd (TypeError) and k=18.0 gave t=6.0
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        constant_form_check(m, n, k)
 
 
 def test_trichotomy_cases():

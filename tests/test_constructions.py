@@ -362,6 +362,15 @@ def test_transforms_still_refuse_malformed_input(vertex_labels, edge_labels, mes
             transform(g, TotalLabeling(vertex_labels, edge_labels))
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: double_star_consecutive(0, 1), "double star needs m >= 1 and n >= 1"),
+    (lambda: double_star_consecutive(1, 0, 2), "double star needs m >= 1 and n >= 1"),
+], ids=["DS0,1", "DS1,0-variant2"])
+def test_construction_refusals(make, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 @pytest.mark.parametrize("m, n", [("a", 2), (1, 2.0), (True, 1)])
 def test_double_star_form_refuses_non_integer_sizes(m, n):
     with pytest.raises(GraphError, match="not an integer"):

@@ -1,5 +1,6 @@
 """Graph containers, family generators, and structural checks."""
 
+import re
 import tracemalloc
 from itertools import combinations, permutations, product
 
@@ -26,6 +27,39 @@ def test_edges_canonicalized():
 def test_graph_invariants_rejected(edges, message):
     with pytest.raises(GraphError, match=message):
         Graph(3, edges)
+
+
+P3 = Graph(3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Graph(3, ((0, 1.0), (1, 2))), "bad graph record: 1.0 is not an integer"),
+    (lambda: Graph(2.5, ()), "bad graph record: 2.5 is not an integer"),
+    (lambda: Graph(True, ()), "bad graph record: True is not an integer"),
+    # every value's type is checked before the self-loop is seen
+    (lambda: Graph(3, ((1, 1), (0, 2.0))), "bad graph record: 2.0 is not an integer"),
+    (lambda: Graph(-1, ()), "vertex_count must be nonnegative"),
+    (lambda: P3.index_of_edge(2, 0), "no edge (0, 2) in graph"),
+    (lambda: Bipartition(frozenset({0, 1}), frozenset({1, 2})), "bipartition sides overlap"),
+    (lambda: Bipartition(frozenset({0}), frozenset({1})).validate_for(P3),
+     "bipartition does not cover all vertices"),
+    (lambda: Bipartition(frozenset({0, 1}), frozenset({2})).validate_for(P3),
+     "edge (0,1) does not cross the bipartition"),
+    (lambda: FamilyHandle(P3, None, {"a": 0, "b": 0, "c": 2}),
+     "name_map must be a bijection onto all vertices"),
+    (lambda: build_path(0), "path needs at least one vertex"),
+    (lambda: build_star(0), "star needs p >= 1"),
+    (lambda: build_complete_bipartite(0, 1), "complete bipartite graph needs m, n >= 1"),
+], ids=["float-endpoint", "float-count", "bool-count", "type-before-loop",
+        "negative-count", "absent-edge", "overlap", "uncovered", "uncrossed", "names",
+        "path0", "star0", "K0,1"])
+def test_graph_layer_refusals(make, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_bipartition_of_the_empty_graph_has_empty_sides():
+    assert bipartition_of(Graph(0, ())) == Bipartition(frozenset(), frozenset())
 
 
 def test_caterpillar_spec_validation():
@@ -220,6 +254,11 @@ def test_unchecked_builds_equal_the_checked_constructors():
         assert Graph(g.vertex_count, g.edges) == g, handle.family
         checked = FamilyHandle(g, handle.bipartition, handle.name_map, handle.family)
         assert checked == handle, handle.family
+        # the sides are built unchecked too: they are the graph's own two-colouring
+        bip = handle.bipartition
+        if bip is not None:
+            assert Bipartition(bip.side_x, bip.side_y) == bip, handle.family
+        assert bipartition_of(g) == bip, handle.family
 
 
 @pytest.mark.parametrize("build, args", [

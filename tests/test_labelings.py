@@ -1,5 +1,6 @@
 """Verification primitives: magic constants, block offsets, gracefulness."""
 
+import re
 from random import Random
 
 import pytest
@@ -149,6 +150,24 @@ def test_consecutive_index_invariant_under_automorphism():
         got = classify(g, relabeled)
         assert got.magic_constant == base.magic_constant
         assert got.consecutive_index == base.consecutive_index
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: check_total_labeling(P3, TotalLabeling((1, 5, 2), (4,))),
+     "expected 2 edge labels, got 1"),
+    (lambda: is_graceful(P3, VertexLabeling((0, 2))), "expected 3 vertex labels, got 2"),
+], ids=["edge-labels", "graceful-labels"])
+def test_labeling_refusals(make, message):
+    with pytest.raises(LabelingError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("vertex_labels,edge_labels", [
+    ((6, 7, 2, 1), (5, 4, 3)),  # c1 has a low and a high neighbour
+    ((6, 3, 2, 7), (5, 4, 1)),  # c1's leaf carries 3, inside the edge block 3..5
+], ids=["both-blocks", "edge-block"])
+def test_neighbor_block_fails_on_a_vertex_outside_one_block(vertex_labels, edge_labels):
+    assert not neighbor_block_holds(P4_HANDLE.graph, TotalLabeling(vertex_labels, edge_labels), 2)
 
 
 def test_check_total_labeling_accepts_valid():

@@ -282,6 +282,53 @@ def test_output_deterministic_and_sorted():
 # automorphisms and orbit counting
 # ---------------------------------------------------------------------------
 
+def _brute_automorphisms(graph):
+    """Exact automorphism group via degree refinement plus backtracking.
+
+    The reference group of the plan and orbit tests, independent of the
+    plan: the refinement collapses most of the search and the backtracker
+    checks adjacency against every previously mapped vertex.
+    """
+    n = graph.vertex_count
+    if n == 0:
+        return ((),)
+    adj = [frozenset(nbrs) for nbrs in graph.adjacency]
+    color = [len(adj[v]) for v in range(n)]
+    while True:
+        sig = [(color[v], tuple(sorted(color[u] for u in adj[v]))) for v in range(n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        refined = [palette[s] for s in sig]
+        if refined == color:
+            break
+        color = refined
+
+    mapping = [-1] * n
+    used = [False] * n
+    perms: list[tuple[int, ...]] = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            perms.append(tuple(mapping))
+            return
+        for w in range(n):
+            if used[w] or color[w] != color[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if (u in adj[v]) != (mapping[u] in adj[w]):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                extend(v + 1)
+                used[w] = False
+                mapping[v] = -1
+
+    extend(0)
+    return tuple(perms)
+
+
 @pytest.mark.parametrize("handle,order", [
     (build_path(4), 2),
     (build_star(3), 6),
@@ -310,7 +357,7 @@ def test_count_canonical_double_stars(m, n):
 def test_count_canonical_consistent_with_raw_orbits():
     g = build_double_star(2, 2).graph
     raw = find_consecutive(SearchQuery(g, b=3))
-    auts = compute_automorphisms(g)
+    auts = _brute_automorphisms(g)
     n = g.vertex_count
     orbits = {min(tuple(lab.vertex_labels[p[i]] for i in range(n)) for p in auts)
               for lab in raw.labelings}
@@ -319,7 +366,7 @@ def test_count_canonical_consistent_with_raw_orbits():
 
 def _group_orbits(graph, labelings):
     """Orbit count by the automorphism group, the reference for ``orbit_count``."""
-    auts = compute_automorphisms(graph)
+    auts = _brute_automorphisms(graph)
     n = graph.vertex_count
     seen, orbits = set(), 0
     for lab in labelings:
@@ -366,6 +413,12 @@ def test_find_graceful_paths_and_lobster():
         found = find_graceful(handle.graph, limit=1)
         assert found
         assert is_graceful(handle.graph, found[0])
+
+
+@pytest.mark.parametrize("limit", [1, None])
+def test_find_graceful_of_the_empty_graph_is_empty(limit):
+    # K0 is connected and has no vertex to place: the search finds nothing
+    assert find_graceful(Graph(0, ()), limit=limit) == []
 
 
 def test_find_graceful_c5_empty():
@@ -615,7 +668,7 @@ def _stabiliser_bounds(graph, order):
     earlier v_i whose orbit under the pointwise stabiliser of v_1..v_(i-1)
     holds v, or ``n`` when there is none."""
     n = graph.vertex_count
-    stabiliser = compute_automorphisms(graph)
+    stabiliser = _brute_automorphisms(graph)
     below = [n] * n
     for i, v in enumerate(order):
         for p in stabiliser:
@@ -737,12 +790,37 @@ def test_coset_representatives_times_twin_orders_give_the_group():
         order = len(reps)
         for group in classes:
             order *= factorial(len(group))
-        assert order == len(compute_automorphisms(g)), g
+        assert order == len(_brute_automorphisms(g)), g
         edges = set(g.edges)
         for r in reps:
             assert {tuple(sorted((r[u], r[v]))) for u, v in edges} == edges
             for group in classes:
                 assert [r[v] for v in group] == sorted(r[v] for v in group)
+
+
+def _connected_atlas(most=6):
+    nx = pytest.importorskip("networkx")
+    return [Graph(a.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in a.edges)))
+            for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= most and nx.is_connected(a)]
+
+
+def test_compute_automorphisms_lists_the_brute_force_group():
+    graphs = _symmetry_graphs() + _connected_atlas()
+    for g in graphs:
+        assert compute_automorphisms(g) == _brute_automorphisms(g), g
+    assert len(graphs) > 200
+
+
+@pytest.mark.parametrize("graph,group", [(Graph(0, ()), ((),)), (Graph(1, ()), ((0,),)),
+                                         (build_path(2).graph, ((0, 1), (1, 0)))])
+def test_compute_automorphisms_of_the_smallest_graphs(graph, group):
+    assert compute_automorphisms(graph) == group
+
+
+@pytest.mark.parametrize("graph", [Graph(2, ()), Graph(4, ((0, 1), (2, 3)))])
+def test_compute_automorphisms_refuses_a_disconnected_graph(graph):
+    with pytest.raises(SearchError, match="^compute_automorphisms requires a connected graph$"):
+        compute_automorphisms(graph)
 
 
 def _leaves(graph, b):
@@ -759,7 +837,7 @@ def test_the_search_reaches_one_labeling_per_orbit():
     in placement order, and the expansion gives back the full enumeration."""
     compared = 0
     for g in _symmetry_graphs():
-        auts = compute_automorphisms(g)
+        auts = _brute_automorphisms(g)
         order = [step[0] for step in _plan(g).steps]
         for b in range(g.vertex_count + 1):
             full = find_consecutive(SearchQuery(g, b=b))

@@ -1,15 +1,20 @@
-"""Count the code lines of each module of ``src/magilab``.
+"""Count the code lines of each module of ``src/magilab``, or of the
+``*.py`` files of another directory.
 
 A line counts if it holds a token other than a comment, NL, NEWLINE, INDENT
 or DEDENT and lies outside every module, class and function docstring.
-Run from anywhere: ``python tools/code_lines.py``.
+Run from anywhere: ``python tools/code_lines.py`` for the package, or
+``python tools/code_lines.py tests`` for a directory, which is taken from
+the repository root unless it is an absolute path.
 """
 
 import ast
+import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "magilab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "magilab"
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -30,13 +35,17 @@ def code_lines(path: Path) -> int:
     return len(lines - docstrings)
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    args = sys.argv[1:] if argv is None else argv
+    directory = ROOT / args[0] if args else PACKAGE
+    paths = sorted(directory.glob("*.py"))
+    width = max([len("total"), *(len(path.stem) for path in paths)]) + 1
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         count = code_lines(path)
         total += count
-        print(f"{path.stem:<14}{count:>6}")
-    print(f"{'total':<14}{total:>6}")
+        print(f"{path.stem:<{width}}{count:>6}")
+    print(f"{'total':<{width}}{total:>6}")
 
 
 if __name__ == "__main__":
