@@ -103,8 +103,11 @@ def lobster_b_set(p: int) -> set[int]:
     """Feasible offsets for the two-level spider with p legs.
 
     From three legs up only the extremes survive; the one- and two-leg
-    spiders are paths, where all four side values are feasible.
+    spiders are paths, where all four side values are feasible.  ``p``
+    must be exactly an int, as in ``build_lobster``: ``True`` and ``2.0``
+    raise :class:`GraphError`.
     """
+    _require_int("lobster parameter", "p", p)
     if p < 1:
         raise ValueError("p must be >= 1")
     if p >= 3:

@@ -149,7 +149,7 @@ def _cmd_transform(args) -> int:
     graph, labeling = _load_bundle(_read_json(args.bundle))
     try:
         out_lab = getattr(constructions, _TRANSFORMS[args.transform])(graph, labeling)
-    except constructions.ConstructionError as exc:
+    except (constructions.ConstructionError, LabelingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if graceful:

@@ -60,8 +60,9 @@ def double_star_consecutive(m: int, n: int, variant: int = 1) -> TotalLabeling:
     forced by the constant.  Variant 1 is the beta form of the caterpillar
     S_{m,n}.  Variant 2 is written in its canonical vertex order (c1, its m
     leaves, c2, its n leaves), whose edges are c1's m + 1 and then c2's n.
+    ``variant`` must be exactly the int 1 or 2: ``True`` and ``2.0`` are refused.
     """
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise ConstructionError("variant must be 1 or 2")
     _double_star_sizes(m, n)
     spec = CaterpillarSpec(2, (m, n))

@@ -85,7 +85,10 @@ vertex's class onto itself.  Conversely, for such a q, a t inside the
 classes can undo q on the placed vertices and send v_i to any vertex of
 q(class(v_i)) that is not placed.  So O_i is the union of q(class(v_i))
 over the q in R that map the class of every placed vertex onto itself,
-less the placed vertices.  ``_class_orbits`` finds these orbits and R.
+less the placed vertices.  One backtracker over the maps of the twin
+classes, ``_class_maps``, gives R and these orbits: run from no prefix it
+lists R, and ``_class_orbits`` reads each orbit from the maps that fix a
+prefix of the classes.
 
 At a leaf g the engines emit g o r o t for every r in R and t in T (see
 ``_orbit``).  The plan places each twin class in ascending vertex order,
@@ -207,11 +210,15 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 class _Plan(NamedTuple):
-    """A placement order and the symmetry it breaks; see ``_plan``."""
+    """A placement order and the symmetry it breaks; see ``_plan``.
+
+    ``sym`` is what ``_class_maps`` needs to list R, or None when colour
+    refinement tells every twin class apart and R is the identity alone.
+    """
 
     steps: list
     groups: list  # the twin classes, numbered by first placement, each ascending
-    gens: list    # maps of the classes that generate R, see _class_orbits
+    sym: Optional[tuple]  # what _class_maps lists R from; None when R is the identity
 
 
 def _plan(graph: Graph) -> _Plan:
@@ -272,6 +279,8 @@ def _plan(graph: Graph) -> _Plan:
     after the first of its class that is the member placed just before it.
     For the first member of class c it is the first member of the latest
     class c' < c whose orbit under H_c' holds c (see ``_class_orbits``).
+    The plan keeps ``_class_orbits``'s ``sym``, so that ``_coset_reps`` can
+    list R, lazily, when a search reaches its first labeling.
     """
     n = graph.vertex_count
     adj = graph.adjacency
@@ -289,7 +298,7 @@ def _plan(graph: Graph) -> _Plan:
         if c == len(groups):
             groups.append([])
         groups[c].append(v)
-    orbits, gens = _class_orbits(adj, groups, cls)
+    orbits, sym = _class_orbits(adj, groups, cls)
     below = [n] * n
     for group in groups:
         for prev, v in zip(group, group[1:]):
@@ -304,7 +313,7 @@ def _plan(graph: Graph) -> _Plan:
         rest -= degree[v] - 1
         steps.append((v, earlier[0] if earlier else None, tuple(earlier[1:]), below[v],
                       degree[v] - 1, rest))
-    return _Plan(steps, groups, gens)
+    return _Plan(steps, groups, sym)
 
 
 def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
@@ -318,7 +327,8 @@ def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
 
 def _class_orbits(adj, groups, cls):
     """The orbit of each twin class c under H_c, c first, for the classes
-    where it holds more than c; and maps of the classes that generate R.
+    where it holds more than c; and the ``sym`` of ``_Plan``, which
+    ``_class_maps`` lists R from, or None when R is the identity alone.
     ``cls`` gives the class of each vertex.
 
     H_c is the set of q in R that map each class below c onto itself.  An
@@ -329,23 +339,10 @@ def _class_orbits(adj, groups, cls):
     Colour refinement of the classes (size and degree, then the colours of
     the neighbouring classes) runs until no colour splits; every class keeps
     its colour under such a map, and when the colours tell every class apart
-    R is the identity alone.
-
-    Otherwise the classes are taken deepest first.  The maps found so far
-    fix every class below c, so the orbit of c starts as the closure of c
-    under them.  For each class x of c's colour still outside it (next to
-    every earlier neighbour of c, which c's image must be), a backtracker
-    looks for one map that fixes the classes below c and sends c to x, and
-    keeps it as a generator.  It maps the classes in order: each goes to an
-    unused class of its colour next to the image of one earlier neighbour
-    (every class but the first has one, as every prefix of the placement
-    order is connected), and is checked against its other earlier
-    neighbours only.  At the end every edge between classes was checked
-    once, and a bijection that keeps every edge of a finite graph is an
-    automorphism of it.  So the generators kept at c and at the later
-    classes move c over its whole orbit under H_c, and they generate all of
-    R: by the orbit-stabiliser theorem down the chain H_0 > H_1 > ..., both
-    groups have the product of those orbit sizes as their order.
+    R is the identity alone.  Otherwise the orbit of c is c and every class
+    x to which some map that fixes the classes below c sends c: such an x
+    lies above c, has c's colour and is next to every earlier neighbour of
+    c, the checks ``_class_maps`` makes on each class it places.
     """
     m = len(groups)
     nbrs = [{cls[u] for u in adj[group[0]]} for group in groups]
@@ -359,81 +356,84 @@ def _class_orbits(adj, groups, cls):
             break
         count = len(palette)
     orbits: dict = {}
-    gens: list = []
     if count == m:
-        return orbits, gens
+        return orbits, None
     kin: dict = {}  # the classes of each colour, as a bit set
     for c, x in enumerate(color):
         kin[x] = kin.get(x, 0) | 1 << c
     kin = [kin[x] for x in color]
     nb = [sum([1 << d for d in ns]) for ns in nbrs]
     back = [[d for d in ns if d < c] for c, ns in enumerate(nbrs)]
-    img = list(range(m))
-
-    def extend(c, free):
-        if c == m:
-            return True
-        first, *more = back[c]
-        cand = nb[img[first]] & free & kin[c]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length() - 1
-            if all(nb[x] >> img[d] & 1 for d in more):
-                img[c] = x
-                if extend(c + 1, free ^ low):
-                    return True
-        return False
-
-    full = (1 << m) - 1
-    for c in reversed(range(m)):
+    sym = (kin, nb, back)
+    for c in range(m):
         cand = kin[c] >> (c + 1) << (c + 1)  # the classes of c's colour above c
-        if not cand:
-            continue
         for d in back[c]:
             cand &= nb[d]
         orbit = [c]
-        while cand:
-            for y in orbit:  # close the orbit under the maps found so far
-                for g in gens:
-                    if g[y] not in orbit:
-                        orbit.append(g[y])
-                cand &= ~(1 << y)
-            if cand:
-                low = cand & -cand
-                img[:c] = range(c)
-                img[c] = low.bit_length() - 1
-                if extend(c + 1, (full >> c << c) ^ low):
-                    gens.append(tuple(img))  # it sends c to x: the next pass adds x
-                else:
-                    cand ^= low
+        for x in range(c + 1, cand.bit_length()):
+            if cand >> x & 1 and next(_class_maps(sym, [*range(c), x]), None):
+                orbit.append(x)
         if len(orbit) > 1:
             orbits[c] = orbit
-    return orbits, gens
+    return orbits, sym
+
+
+def _class_maps(sym, img: list):
+    """Yield, as tuples and lowest images first, the maps of the twin classes
+    that lift to a member of R and start with ``img``, a prefix that passes
+    the checks below.
+
+    ``sym`` is ``(kin, nb, back)``: for each class, the classes of its
+    colour and the classes next to it as bit sets, and its neighbours
+    numbered below it.  Each class from ``len(img)`` on goes to an unused
+    class of its colour next to the image of each of those neighbours.  At
+    the end every edge between classes was checked once, and a bijection
+    that keeps every edge of a finite graph is an automorphism of it.  From
+    the empty prefix the identity comes first: it sends each class to the
+    lowest class left unused.
+    """
+    kin, nb, back = sym
+    c, m = len(img), len(kin)
+    free = (1 << m) - 1 - sum([1 << x for x in img])  # the classes img leaves unused
+    img, todo = list(img), []  # todo: the untried images of each class mapped here
+    while True:
+        if c == m:
+            yield tuple(img)
+            cand = 0
+        else:
+            cand = free & kin[c]
+            for d in back[c]:
+                cand &= nb[img[d]]
+        while not cand:  # back up to the latest class with an untried image
+            if not todo:
+                return
+            cand = todo.pop()
+            free |= 1 << img.pop()
+            c -= 1
+        low = cand & -cand
+        todo.append(cand ^ low)
+        img.append(low.bit_length() - 1)
+        free ^= low
+        c += 1
 
 
 def _coset_reps(plan: _Plan):
     """Yield R as vertex maps, the identity first.
 
-    R is the closure of the generators under composition.  A map of the
-    classes sends the j-th member of a class to the j-th member of its
-    image, so that it is increasing on every twin class.
+    A map of the classes sends the j-th member of a class to the j-th
+    member of its image, so that it is increasing on every twin class.
+    With ``flat`` the members of the classes listed class by class, the
+    members of the images listed in the same way line up with ``flat``.
     """
-    groups, gens = plan.groups, plan.gens
-    n = sum(map(len, groups))
-    maps = [tuple(range(len(groups)))]
-    seen = set(maps)
-    for q in maps:  # the loop visits what it appends
-        r = [0] * n
-        for group, x in zip(groups, q):
-            for v, w in zip(group, groups[x]):
-                r[v] = w
-        yield tuple(r)
-        for g in gens:
-            p = tuple([g[x] for x in q])
-            if p not in seen:
-                seen.add(p)
-                maps.append(p)
+    groups = plan.groups
+    flat = [v for group in groups for v in group]
+    yield tuple(range(len(flat)))
+    if plan.sym is None:
+        return
+    # at(seq) reads, for each vertex v in turn, the entry at v's place in flat
+    at = _getter(sorted(range(len(flat)), key=flat.__getitem__))
+    for q in islice(_class_maps(plan.sym, []), 1, None):  # it lists the identity first
+        yield at([w for x in q for w in groups[x]])
 
 
 def _getter(index):

@@ -65,8 +65,14 @@ def test_lobster_b_set():
     assert lobster_b_set(1) == {0, 1, 2, 3}
     assert 2 in lobster_b_set(1)
     assert 3 in lobster_b_set(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be >= 1$"):
         lobster_b_set(0)
+
+
+@pytest.mark.parametrize("p", [True, 2.0, "3"])
+def test_lobster_b_set_refuses_a_p_that_is_not_an_int(p):
+    with pytest.raises(GraphError, match=r"^bad lobster parameter: p=.* is not an integer$"):
+        lobster_b_set(p)
 
 
 def test_constant_form_check():

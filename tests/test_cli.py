@@ -145,6 +145,24 @@ def test_transform_graceful_refuses_a_graph_with_too_few_edges(capsys, monkeypat
     assert out == "" and err == "error: 6 vertices need more graceful labels than 0..3\n"
 
 
+@pytest.mark.parametrize("labeling, message", [
+    ({"vertex_labels": [1, 2], "edge_labels": [3, 4]}, "expected 3 vertex labels, got 2"),
+    ({"vertex_labels": [1, 2, 2], "edge_labels": [4, 5]}, "label 2 used twice"),
+])
+@pytest.mark.parametrize("argv", [("verify", "-"), ("transform", "dual", "-"),
+                                  ("transform", "lambda-star", "-"), ("transform", "graceful", "-")])
+def test_a_labeling_that_does_not_fit_its_graph_exits_1(capsys, monkeypatch, argv, labeling,
+                                                         message):
+    """verify and every transform give a bundle whose labeling does not fit
+    its graph the same exit code and error line."""
+    import io
+    import sys as _sys
+    bundle = {"graph": json.loads(_P3), "labeling": labeling}
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(json.dumps(bundle)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_with_too_few_vertex_labels_exits_1(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     lpath = tmp_path / "lab.json"

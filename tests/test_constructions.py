@@ -105,6 +105,12 @@ def test_double_star_classifies(m, n, variant, k):
     assert got.magic_constant == k == 4 * m + 2 * n + 6
 
 
+@pytest.mark.parametrize("variant", [True, 2.0, 0, 3, "1", None])
+def test_double_star_consecutive_refuses_a_variant_other_than_int_1_or_2(variant):
+    with pytest.raises(ConstructionError, match="^variant must be 1 or 2$"):
+        double_star_consecutive(1, 2, variant)
+
+
 def test_double_star_variants_distinct_and_extreme():
     handle = build_double_star(2, 2)
     v1 = double_star_consecutive(2, 2, 1)

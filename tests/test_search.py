@@ -2,7 +2,7 @@
 
 import gc
 import time
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from random import Random
 
@@ -828,7 +828,7 @@ def _leaves(graph, b):
     the plan's bounds with R and T cut down to the identity."""
     plan = _plan(graph)
     n = graph.vertex_count
-    bare = plan._replace(groups=[[v] for v in range(n)], gens=[])
+    bare = plan._replace(groups=[[v] for v in range(n)], sym=None)
     return _enumerate_consecutive(graph, b, None, None, bare, False).labelings
 
 
@@ -876,17 +876,30 @@ def _garbage_left(run):
         gc.enable()
 
 
+def test_a_plan_and_the_first_coset_reps_do_not_list_r():
+    """R of L_20 permutes its twenty legs: it has 20! elements, and neither the
+    plan nor the first members of R may list them."""
+    start = time.perf_counter()
+    plan = _plan(build_lobster(20).graph)
+    first = list(islice(_coset_reps(plan), 3))
+    assert time.perf_counter() - start < 0.5
+    assert first[0] == tuple(range(41)) and len(set(first)) == 3
+
+
 @pytest.mark.parametrize("search", [lambda g: find_edge_magic(SearchQuery(g)),
                                     lambda g: find_consecutive(SearchQuery(g, b=0)),
-                                    lambda g: find_graceful(g, limit=None)],
-                         ids=["edge-magic", "consecutive", "graceful"])
+                                    lambda g: find_graceful(g, limit=None),
+                                    feasible_b_set, compute_automorphisms],
+                         ids=["edge-magic", "consecutive", "graceful", "feasible-b-set",
+                              "automorphisms"])
 def test_a_search_leaves_no_state_for_the_cyclic_collector(search):
     """A finished search frees its state by reference counting: it leaves
     nothing for the collector (K_1,6's full edge-magic enumeration keeps
-    138,240 labelings, K_1,5's 11,520)."""
-    stars = [build_star(p).graph for p in (5, 6)]
-    left = [_garbage_left(lambda: search(g)) for g in stars]
-    assert left == [0, 0]
+    138,240 labelings, K_1,5's 11,520).  P6 and C7 have a symmetry outside
+    their twin classes, so their plans list R."""
+    graphs = [build_star(5).graph, build_star(6).graph, build_path(6).graph, build_cycle(7).graph]
+    left = [_garbage_left(lambda: search(g)) for g in graphs]
+    assert left == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("canonical_only", [False, True])
