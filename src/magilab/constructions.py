@@ -7,9 +7,8 @@ rewrite one verified labeling into another with a predictable block offset
 and magic constant; each transform validates its input and refuses anything
 without the label-block structure it needs: for 0 < b < |V| every edge
 must join the low block 1..b to the high block.  Transforms check only that
-block structure; which partite side holds the low block is named by
-:func:`magilab.labelings.classify` alone, through the helper ``_low_side``
-that ``lambda_star`` also calls.
+block structure and read no bipartition; which partite side holds the low
+block is named by :func:`magilab.labelings.classify` alone.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from itertools import count
 from typing import Optional
 
 from .graphs import Bipartition, CaterpillarSpec, Graph, _double_star_sizes, _unchecked
-from .labelings import (TotalLabeling, VertexLabeling, _low_side, _offset_of,
-                        magic_constant_of)
+from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
 
 
 class ConstructionError(ValueError):
@@ -135,20 +133,19 @@ def lambda_star(graph: Graph, labeling: TotalLabeling,
     """Reflect each label block in place, keeping the offset b.
 
     Case b=0 or b=|V|: both vertex blocks and the edge block are reflected
-    within themselves.  Case b=|side|: the low side reflects inside {1..b},
-    the high side inside its block, and the edges inside theirs.  Each case
-    is an involution and reflects the magic constant: k goes to
-    2|V|+5|E|+3-k when b=0, to 4|V|+|E|+3-k when b=|V|, and to
-    5b+(|V|-b)+3|E|+3-k when b is a side's size.  In that last case the low
-    block must be a side of ``bipartition`` (by default, of the graph's own
-    bipartition, so a disconnected graph is refused).
+    within themselves.  Case 0 < b < |V|: the low block reflects inside
+    {1..b}, the high block inside its range, and the edges inside theirs;
+    every edge joins the low block to the high one (``_block_structure``),
+    so every edge sum moves by the same amount.  Each case is an involution
+    and reflects the magic constant: k goes to 2|V|+5|E|+3-k when b=0, to
+    4|V|+|E|+3-k when b=|V|, and to 5b+(|V|-b)+3|E|+3-k otherwise.  The
+    reflection needs no partite side, so a disconnected graph is reflected
+    too, and ``bipartition`` is not read.
     """
     n, e = graph.vertex_count, graph.edge_count
     b = _block_structure(graph, labeling)
     vl = labeling.vertex_labels
     el = labeling.edge_labels
-    if 0 < b < n and _low_side(graph, labeling, b, bipartition) is None:
-        raise ConstructionError("low-block vertices do not form a partite side")
     # b = 0 and b = |V| are this formula with an empty low or high block
     return TotalLabeling.trusted(
         tuple([b + 1 - x if x <= b else b + n + 2 * e + 1 - x for x in vl]),

@@ -213,40 +213,27 @@ def is_graceful(graph: Graph, labeling: VertexLabeling) -> bool:
     return diffs == set(range(1, e + 1))
 
 
-def _low_side(graph: Graph, labeling: TotalLabeling, b: int,
-              bipartition: Optional[Bipartition]) -> Optional[str]:
-    """Name the partite side whose vertex labels are exactly {1..b}.
-
-    This is the one place a low block is compared with a bipartition's
-    sides.  ``bipartition`` is used as given; without one, the graph's own
-    (``Graph.own_bipartition``, worked out once per graph) is used.
-    Returns "X" or "Y", or None when the graph is disconnected or not
-    bipartite, or the low block is neither side.
-    """
-    if bipartition is None:
-        bipartition = graph.own_bipartition
-    if bipartition is not None:
-        vl = labeling.vertex_labels
-        small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
-        if small == bipartition.side_x:
-            return "X"
-        if small == bipartition.side_y:
-            return "Y"
-    return None
-
-
 def classify(graph: Graph, labeling: TotalLabeling,
              bipartition: Optional[Bipartition] = None) -> LabelingClassification:
     """Aggregate magic constant, consecutive index, super flag, and side tag.
 
-    The side tag names the partite side whose labels are exactly {1..b}
-    (see :func:`_low_side`); it is only set when 0 < b < |V| and that low
-    block is a side of ``bipartition``, or of the graph's own bipartition
-    when none is given and the graph is connected.
+    The side tag names the partite side, "X" or "Y", whose vertex labels
+    are exactly {1..b}.  It is only set when 0 < b < |V| and that low block
+    is a side of ``bipartition``, used as given, or without one of the
+    graph's own (``Graph.own_bipartition``, worked out once per graph),
+    which a disconnected or non-bipartite graph does not have.
     """
     k = magic_constant_of(graph, labeling)
     b = _offset_of(graph, labeling, k)
     is_super = b == graph.vertex_count  # False when b is None
-    side = (_low_side(graph, labeling, b, bipartition)
-            if b is not None and 0 < b < graph.vertex_count else None)
+    side = None
+    if b is not None and 0 < b < graph.vertex_count:
+        sides = graph.own_bipartition if bipartition is None else bipartition
+        if sides is not None:
+            vl = labeling.vertex_labels
+            small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
+            if small == sides.side_x:
+                side = "X"
+            elif small == sides.side_y:
+                side = "Y"
     return LabelingClassification(k, b, is_super, side)

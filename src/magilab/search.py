@@ -85,10 +85,12 @@ vertex's class onto itself.  Conversely, for such a q, a t inside the
 classes can undo q on the placed vertices and send v_i to any vertex of
 q(class(v_i)) that is not placed.  So O_i is the union of q(class(v_i))
 over the q in R that map the class of every placed vertex onto itself,
-less the placed vertices.  One backtracker over the maps of the twin
-classes, ``_class_maps``, gives R and these orbits: run from no prefix it
-lists R, and ``_class_orbits`` reads each orbit from the maps that fix a
-prefix of the classes.
+less the placed vertices.  One backtracker, ``_class_maps``, lists R, T
+and these orbits.  Over the twin classes it lists R from no prefix, and
+``_class_orbits`` reads each orbit from the maps that fix a prefix of the
+classes.  Over the vertices, each free to go to any vertex of its twin
+class with no edge to check, it lists T.  ``_r_and_t`` hands R and T,
+lazily, to the leaves and to ``compute_automorphisms``.
 
 At a leaf g the engines emit g o r o t for every r in R and t in T (see
 ``_orbit``).  The plan places each twin class in ascending vertex order,
@@ -110,7 +112,7 @@ which makes output independent of the internal iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations, starmap, tee
+from itertools import islice, starmap, tee
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -214,6 +216,7 @@ class _Plan(NamedTuple):
 
     ``sym`` is what ``_class_maps`` needs to list R, or None when colour
     refinement tells every twin class apart and R is the identity alone.
+    T needs nothing beyond ``groups`` (see ``_r_and_t``).
     """
 
     steps: list
@@ -279,7 +282,7 @@ def _plan(graph: Graph) -> _Plan:
     after the first of its class that is the member placed just before it.
     For the first member of class c it is the first member of the latest
     class c' < c whose orbit under H_c' holds c (see ``_class_orbits``).
-    The plan keeps ``_class_orbits``'s ``sym``, so that ``_coset_reps`` can
+    The plan keeps ``_class_orbits``'s ``sym``, so that ``_r_and_t`` can
     list R, lazily, when a search reaches its first labeling.
     """
     n = graph.vertex_count
@@ -298,14 +301,13 @@ def _plan(graph: Graph) -> _Plan:
         if c == len(groups):
             groups.append([])
         groups[c].append(v)
-    orbits, sym = _class_orbits(adj, groups, cls)
+    latest, sym = _class_orbits(adj, groups, cls)
     below = [n] * n
     for group in groups:
         for prev, v in zip(group, group[1:]):
             below[v] = prev
-    for c in sorted(orbits):  # a later class overwrites an earlier one
-        for x in orbits[c][1:]:
-            below[groups[x][0]] = groups[c][0]
+    for x, c in latest.items():
+        below[groups[x][0]] = groups[c][0]
     rest = sum(degree) - n
     steps = []
     for i, v in enumerate(order):
@@ -326,8 +328,8 @@ def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
 
 
 def _class_orbits(adj, groups, cls):
-    """The orbit of each twin class c under H_c, c first, for the classes
-    where it holds more than c; and the ``sym`` of ``_Plan``, which
+    """For each twin class x that lies in the orbit of some class c < x
+    under H_c, the latest such c; and the ``sym`` of ``_Plan``, which
     ``_class_maps`` lists R from, or None when R is the identity alone.
     ``cls`` gives the class of each vertex.
 
@@ -355,9 +357,9 @@ def _class_orbits(adj, groups, cls):
         if len(palette) == count:
             break
         count = len(palette)
-    orbits: dict = {}
+    latest: dict = {}
     if count == m:
-        return orbits, None
+        return latest, None
     kin: dict = {}  # the classes of each colour, as a bit set
     for c, x in enumerate(color):
         kin[x] = kin.get(x, 0) | 1 << c
@@ -369,28 +371,29 @@ def _class_orbits(adj, groups, cls):
         cand = kin[c] >> (c + 1) << (c + 1)  # the classes of c's colour above c
         for d in back[c]:
             cand &= nb[d]
-        orbit = [c]
         for x in range(c + 1, cand.bit_length()):
             if cand >> x & 1 and next(_class_maps(sym, [*range(c), x]), None):
-                orbit.append(x)
-        if len(orbit) > 1:
-            orbits[c] = orbit
-    return orbits, sym
+                latest[x] = c  # a later c overwrites an earlier one
+    return latest, sym
 
 
 def _class_maps(sym, img: list):
-    """Yield, as tuples and lowest images first, the maps of the twin classes
-    that lift to a member of R and start with ``img``, a prefix that passes
-    the checks below.
+    """Yield, as tuples and lowest images first, the one-to-one maps of a
+    list of classes that start with ``img``, a prefix that passes the
+    checks below.
 
-    ``sym`` is ``(kin, nb, back)``: for each class, the classes of its
-    colour and the classes next to it as bit sets, and its neighbours
-    numbered below it.  Each class from ``len(img)`` on goes to an unused
-    class of its colour next to the image of each of those neighbours.  At
-    the end every edge between classes was checked once, and a bijection
-    that keeps every edge of a finite graph is an automorphism of it.  From
-    the empty prefix the identity comes first: it sends each class to the
-    lowest class left unused.
+    ``sym`` is ``(kin, nb, back)``: for each class, the images it may take
+    and the images next to it as bit sets, and its neighbours numbered
+    below it.  Each class from ``len(img)`` on goes to an unused image it
+    may take, next to the image of each of those neighbours.  Over the twin
+    classes (see ``_class_orbits``) the images are the classes, each class
+    may take those of its colour, and at the end every edge between classes
+    was checked once; a bijection that keeps every edge of a finite graph is
+    an automorphism of it, so the maps lift to R.  Over the vertices (see
+    ``_r_and_t``) the images are the vertices, each may take any vertex of
+    its twin class, and there is no neighbour to check: the maps are T.
+    From the empty prefix the first map sends each class to the lowest image
+    left unused, which is the identity.
     """
     kin, nb, back = sym
     c, m = len(img), len(kin)
@@ -417,41 +420,43 @@ def _class_maps(sym, img: list):
         c += 1
 
 
-def _coset_reps(plan: _Plan):
-    """Yield R as vertex maps, the identity first.
+def _r_and_t(plan: _Plan, canonical_only: bool = False):
+    """R and T as two lazy listings of vertex maps, each with the identity
+    first: the one place the leaves (``_orbit``) and
+    ``compute_automorphisms`` read the group from.
 
-    A map of the classes sends the j-th member of a class to the j-th
-    member of its image, so that it is increasing on every twin class.
-    With ``flat`` the members of the classes listed class by class, the
-    members of the images listed in the same way line up with ``flat``.
+    ``_class_maps`` lists both.  R is its maps of the twin classes.  A map
+    of the classes sends the j-th member of a class to the j-th member of
+    its image, so that it is increasing on every twin class.  With ``flat``
+    the vertices listed class by class, the members of the images listed in
+    the same way line up with ``flat``, and ``at`` reads the vertex map off.
+
+    T is the set of maps that send each vertex to a member of its own twin
+    class.  Twins share their neighbours, so there is no edge to check: T
+    is ``_class_maps`` over the vertices in ``flat``'s order, each of which
+    may go to any vertex of its class, with no neighbours.  Its maps list
+    the image of each vertex of ``flat``, so ``at`` alone reads them off.
+    Earlier classes vary slowest, and each class runs through its orders
+    lexicographically.  With ``canonical_only``, or when no twin class has
+    two members, T is the identity alone.
     """
     groups = plan.groups
     flat = [v for group in groups for v in group]
-    yield tuple(range(len(flat)))
-    if plan.sym is None:
-        return
     # at(seq) reads, for each vertex v in turn, the entry at v's place in flat
     at = _getter(sorted(range(len(flat)), key=flat.__getitem__))
-    for q in islice(_class_maps(plan.sym, []), 1, None):  # it lists the identity first
-        yield at([w for x in q for w in groups[x]])
+    qs = [range(len(groups))] if plan.sym is None else _class_maps(plan.sym, [])
+    ts = [flat]
+    if not canonical_only and len(groups) < len(flat):
+        kin: list = []  # for each vertex of flat, the vertices of its twin class
+        for group in groups:
+            kin += [sum([1 << v for v in group])] * len(group)
+        ts = _class_maps((kin, None, [()] * len(flat)), [])
+    return (at([w for x in q for w in groups[x]]) for q in qs), map(at, ts)
 
 
 def _getter(index):
     """``seq -> tuple(seq[i] for i in index)``, as one C call."""
     return itemgetter(*index) if len(index) > 1 else lambda seq: (seq[index[0]],)
-
-
-def _twin_perms(twins, t, k):
-    """Yield T as vertex maps: ``t``, rewritten in place, once for each way
-    to permute the classes ``twins[k:]`` within themselves."""
-    if k == len(twins):
-        yield t
-        return
-    group = twins[k]
-    for image in permutations(group):
-        for v, w in zip(group, image):
-            t[v] = w
-        yield from _twin_perms(twins, t, k + 1)
 
 
 def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
@@ -460,26 +465,25 @@ def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
     The leaf g is the least labeling of its orbit, which is g o r o t over r
     in R and t in T, all distinct.  The edge labels of g o p are g's edge
     labels permuted by p's action on the edges, so each member is two index
-    maps applied to the leaf's label tuples.  With ``canonical_only`` only
-    t = id is taken: g o r is then the one member of its coset that labels
-    each twin class ascending.  ``_Leaves`` calls this at the first leaf,
-    so a search with no labeling makes no maps, and the maps of R and of T
-    are made one at a time as a search reads them, so a ``limit`` search
-    builds neither group.
+    maps applied to the leaf's label tuples.  With ``canonical_only`` T is
+    the identity alone (see ``_r_and_t``): g o r is then the one member of
+    its coset that labels each twin class ascending.  ``_Leaves`` calls
+    this at the first leaf, so a search with no labeling makes no maps, and
+    the maps of R and of T are made one at a time as a search reads them,
+    so a ``limit`` search builds neither group.
     """
     edges, edge_index = graph.edges, graph.edge_index
-    twins = [] if canonical_only else [group for group in plan.groups if len(group) > 1]
-    identity = list(range(graph.vertex_count))
+    identity = tuple(range(graph.vertex_count))
 
     def maps(p):
-        if list(p) == identity:
+        if p == identity:
             return tuple, tuple  # tuple() hands a tuple back unchanged
         return _getter(p), _getter([edge_index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
                                     for u, v in edges])
 
     # a copy of a tee replays the maps made so far and makes the rest on demand
-    reps = tee(map(maps, _coset_reps(plan)), 1)[0]
-    made = tee(map(maps, _twin_perms(twins, identity[:], 0)), 1)[0]
+    rs, ts = _r_and_t(plan, canonical_only)
+    reps, made = tee(map(maps, rs), 1)[0], tee(map(maps, ts), 1)[0]
 
     def members(vl, el):
         for rv, re in reps.__copy__():
@@ -878,18 +882,16 @@ def compute_automorphisms(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
     This lists the group the searches break: every r o t with r in R and t
     in T, the split Aut = R.T of the module docstring, each automorphism
-    once.  K0 gives the one empty map.  A disconnected graph raises
+    once, read from the listings the leaves read (``_r_and_t``).  K0 gives the one empty map.  A disconnected graph raises
     :class:`SearchError`, as the placement plan covers one component.
     """
     if not is_connected(graph):
         raise SearchError("compute_automorphisms requires a connected graph")
     if graph.vertex_count == 0:
         return ((),)
-    plan = _plan(graph)
-    twins = [group for group in plan.groups if len(group) > 1]
-    # _twin_perms rewrites one list in place: keep a copy of each map
-    ts = [tuple(t) for t in _twin_perms(twins, list(range(graph.vertex_count)), 0)]
-    return tuple(sorted(tuple([r[v] for v in t]) for r in _coset_reps(plan) for t in ts))
+    rs, ts = _r_and_t(_plan(graph))
+    ts = list(ts)
+    return tuple(sorted(tuple([r[v] for v in t]) for r in rs for t in ts))
 
 
 # ---------------------------------------------------------------------------

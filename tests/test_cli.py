@@ -121,16 +121,19 @@ def test_transform_super_rejects_wrong_offset(tmp_path, capsys):
     assert "error" in err
 
 
-def test_transform_lambda_star_refuses_a_graph_without_sides(capsys, monkeypatch):
+def test_transform_lambda_star_reflects_a_graph_without_sides(capsys, monkeypatch):
     import io
     import sys as _sys
-    # 3K2 at b = 3: every edge crosses the blocks, but the graph is disconnected
+    # 3K2 at b = 3: the graph is disconnected, but every edge crosses the
+    # blocks, so the reflection is magic at the same b (here with the same k)
     bundle = {"graph": {"vertex_count": 6, "edges": [[0, 3], [1, 2], [4, 5]]},
               "labeling": TotalLabeling((1, 2, 7, 9, 3, 8), (5, 6, 4)).to_dict()}
     monkeypatch.setattr(_sys, "stdin", io.StringIO(json.dumps(bundle)))
     code, out, err = run(capsys, "transform", "lambda-star", "-")
-    assert code == 1
-    assert out == "" and err == "error: low-block vertices do not form a partite side\n"
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    assert got["labeling"] == TotalLabeling((3, 2, 9, 7, 1, 8), (5, 4, 6)).to_dict()
+    assert (got["classification"]["k"], got["classification"]["b"]) == (15, 3)
 
 
 def test_transform_graceful_refuses_a_graph_with_too_few_edges(capsys, monkeypatch):

@@ -221,15 +221,21 @@ def _p4_beta():
     return handle.graph, caterpillar_beta_labeling(spec), Bipartition({0, 1}, {2, 3})
 
 
-@pytest.mark.parametrize("graph, labeling, bip, b", [
-    (_3K2, _3K2_LABELING, None, 3),
-    (*_p4_beta(), 2),
+@pytest.mark.parametrize("graph, labeling, bip, b, star", [
+    (_3K2, _3K2_LABELING, None, 3, TotalLabeling((3, 2, 9, 7, 1, 8), (5, 4, 6))),
+    (*_p4_beta(), 2, TotalLabeling((7, 2, 1, 6), (3, 4, 5))),
 ], ids=["3K2-no-sides", "P4-wrong-sides"])
-def test_low_block_that_is_no_partite_side_is_refused(graph, labeling, bip, b):
+def test_low_block_that_is_no_partite_side_is_reflected(graph, labeling, bip, b, star):
+    """classify names no side, but every edge crosses the blocks, so
+    lambda_star's reflection is magic at the same b with the reflected k."""
     got = classify(graph, labeling, bip)
     assert (got.consecutive_index, got.side_with_small_labels) == (b, None)
-    with pytest.raises(ConstructionError, match="low-block vertices do not form a partite side"):
-        lambda_star(graph, labeling, bip)
+    assert lambda_star(graph, labeling, bip) == star
+    n, e = graph.vertex_count, graph.edge_count
+    reflected = classify(graph, star, bip)
+    assert reflected.consecutive_index == b
+    assert reflected.magic_constant == 5 * b + (n - b) + 3 * e + 3 - got.magic_constant
+    assert lambda_star(graph, star, bip) == labeling
 
 
 def test_lambda_star_rejects_non_consecutive():

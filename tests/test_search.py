@@ -18,8 +18,8 @@ from magilab.labelings import (LabelingError, TotalLabeling, classify, consecuti
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
-                            find_graceful, _coset_reps, _enumerate_consecutive,
-                            _k_window, _plan)
+                            find_graceful, _enumerate_consecutive, _k_window,
+                            _plan, _r_and_t)
 
 P3 = build_path(3).graph
 
@@ -783,7 +783,7 @@ def test_coset_representatives_times_twin_orders_give_the_group():
     """|R| times the product of |C|! over the twin classes is |Aut|, and every
     r in R is an automorphism that is increasing on each twin class."""
     for g in _symmetry_graphs():
-        reps = list(_coset_reps(_plan(g)))
+        reps = list(_r_and_t(_plan(g))[0])
         classes = _twin_classes(g)
         assert reps[0] == tuple(range(g.vertex_count))
         assert len(set(reps)) == len(reps)
@@ -802,6 +802,38 @@ def _connected_atlas(most=6):
     nx = pytest.importorskip("networkx")
     return [Graph(a.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in a.edges)))
             for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= most and nx.is_connected(a)]
+
+
+def _twin_perms(twins, t, k):
+    """Yield T as vertex maps: ``t``, rewritten in place, once for each way
+    to permute the classes ``twins[k:]`` within themselves."""
+    if k == len(twins):
+        yield t
+        return
+    group = twins[k]
+    for image in permutations(group):
+        for v, w in zip(group, image):
+            t[v] = w
+        yield from _twin_perms(twins, t, k + 1)
+
+
+def test_t_is_listed_in_the_order_of_the_twin_permutations():
+    """T from the class backtracker comes in the order of a recursive walk over
+    each twin class's permutations, the earlier classes varying slowest, so a
+    ``limit`` search keeps the same prefix; T is the identity alone under
+    ``canonical_only``."""
+    rng = Random(24)
+    graphs = _symmetry_graphs() + [
+        _relabelled(g, rng.sample(range(g.vertex_count), g.vertex_count))
+        for g in _connected_atlas(7)
+        if sum(len(group) > 1 for group in _twin_classes(g)) >= 2]
+    for g in graphs:
+        plan = _plan(g)
+        twins = [group for group in plan.groups if len(group) > 1]
+        want = [tuple(t) for t in _twin_perms(twins, list(range(g.vertex_count)), 0)]
+        assert list(_r_and_t(plan)[1]) == want, g
+        assert list(_r_and_t(plan, canonical_only=True)[1]) == [want[0]]
+    assert len(graphs) > 150  # 59 symmetry graphs and 94 atlas graphs
 
 
 def test_compute_automorphisms_lists_the_brute_force_group():
@@ -854,13 +886,18 @@ def test_the_search_reaches_one_labeling_per_orbit():
 
 def test_limit_searches_build_no_twin_group():
     """K_1,10's ten leaves are twins: its group has 3,628,800 elements, and a
-    search for one labeling must not list them."""
+    search for one labeling must not list them.  DS(7,7) has two classes of
+    seven twin leaves, so |T| = 7!^2 = 25,401,600."""
     star = build_star(10).graph
+    ds = build_double_star(7, 7).graph
     start = time.perf_counter()
-    for query, search in ((SearchQuery(star, b=0, limit=1), find_consecutive),
-                          (SearchQuery(star, b=10, limit=3), find_consecutive),
-                          (SearchQuery(star, limit=1), find_edge_magic)):
-        report = search(query)
+    for query, search, budget in (
+            (SearchQuery(star, b=0, limit=1), find_consecutive, None),
+            (SearchQuery(star, b=10, limit=3), find_consecutive, None),
+            (SearchQuery(star, limit=1), find_edge_magic, None),
+            *((SearchQuery(ds, b=b, limit=3), find_consecutive, 31) for b in (0, 8, 16)),
+            (SearchQuery(ds, limit=2), find_edge_magic, 31)):
+        report = search(query, budget)
         assert report.solution_count == query.limit and not report.exhausted
     assert time.perf_counter() - start < 1.0
 
@@ -881,7 +918,7 @@ def test_a_plan_and_the_first_coset_reps_do_not_list_r():
     plan nor the first members of R may list them."""
     start = time.perf_counter()
     plan = _plan(build_lobster(20).graph)
-    first = list(islice(_coset_reps(plan), 3))
+    first = list(islice(_r_and_t(plan)[0], 3))
     assert time.perf_counter() - start < 0.5
     assert first[0] == tuple(range(41)) and len(set(first)) == 3
 
