@@ -2,8 +2,11 @@
 
 Vertices are dense integers ``0..n-1``; structural names (spine positions,
 leaf slots, lobster roles) live in a :class:`FamilyHandle` next to the graph
-so labelings stay plain integer vectors.  Everything is immutable after
-construction and safe to share between threads.
+so labelings stay plain integer vectors.  A graph's two sides are stored in
+one place, :attr:`Graph.own_bipartition`: the family builders fill it with
+the sides they build, and any other graph works them out on first use.
+Everything is immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ def _unchecked(cls, **fields):
     ``from_dict``, which check it.  Each field is set as ``__post_init__``
     sets one, with ``object.__setattr__``: writing ``obj.__dict__`` instead
     would give every instance a dictionary of its own, about 190 bytes more.
+
+    A field may also be a ``cached_property`` of ``cls``, given the value
+    the property would compute: it is a non-data descriptor, so the value
+    set here is the one it reads back, and it computes nothing.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -70,13 +77,18 @@ class Graph:
     lexicographically; labelings index edges by that order, so the
     canonical form is what makes labeling files reproducible.  The vertex
     count and every endpoint must be exactly ``int``: ``True`` or ``1.0``
-    is refused before any structural check, as in a JSON record.
+    is refused before any structural check, as in a JSON record.  Before
+    that, ``edges`` must be a list or tuple of two-item lists or tuples.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # a generator would be used up by the type pass, and (0, 1, 2) would not unpack
+        if not (isinstance(self.edges, (list, tuple))
+                and all(isinstance(edge, (list, tuple)) and len(edge) == 2 for edge in self.edges)):
+            raise GraphError("bad graph record: edges must be an array of [u, v] pairs")
         # int() would turn 1.9 into 1, and True would stand for vertex 1
         for x in (self.vertex_count, *(x for edge in self.edges for x in edge)):
             if type(x) is not int:
@@ -119,8 +131,11 @@ class Graph:
         """The graph's own two-colouring (:func:`bipartition_of`), or None
         when the graph is disconnected or not bipartite.
 
-        Worked out on first use and kept, like ``adjacency``, so classifying
-        many labelings of one graph makes one breadth-first search of it.
+        The one stored copy of a graph's sides.  A family builder fills it
+        with the sides it built, so reading it runs no search; on any other
+        graph it is worked out on first use and kept, like ``adjacency``, so
+        classifying many labelings of one graph makes one breadth-first
+        search of it.
         """
         try:
             return bipartition_of(self)
@@ -151,16 +166,16 @@ class Graph:
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
         require_record(data, "graph", ("vertex_count", "edges"), GraphError)
-        n, edges = data["vertex_count"], data["edges"]
-        if not (isinstance(edges, (list, tuple))
-                and all(isinstance(edge, (list, tuple)) and len(edge) == 2 for edge in edges)):
-            raise GraphError("bad graph record: edges must be an array of [u, v] pairs")
-        return cls(n, edges)
+        return cls(data["vertex_count"], data["edges"])
 
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Ordered partite sets (X, Y); vertex 0 always sits in X."""
+    """Ordered partite sets (X, Y); vertex 0 always sits in X.
+
+    Every member must be exactly an ``int``, as in :class:`Graph`: ``True``
+    or ``2.0`` would stand for vertex 1 or 2 in a set.
+    """
 
     side_x: frozenset[int]
     side_y: frozenset[int]
@@ -168,6 +183,9 @@ class Bipartition:
     def __post_init__(self):
         object.__setattr__(self, "side_x", frozenset(self.side_x))
         object.__setattr__(self, "side_y", frozenset(self.side_y))
+        for x in (*self.side_x, *self.side_y):
+            if type(x) is not int:
+                raise GraphError(f"bipartition member {x!r} is not an integer")
         if self.side_x & self.side_y:
             raise GraphError("bipartition sides overlap")
         if self.side_x and 0 not in self.side_x:
@@ -176,14 +194,6 @@ class Bipartition:
     @property
     def sizes(self) -> tuple[int, int]:
         return (len(self.side_x), len(self.side_y))
-
-    def validate_for(self, graph: Graph) -> None:
-        """Check this bipartition actually two-colors ``graph``."""
-        if self.side_x | self.side_y != frozenset(range(graph.vertex_count)):
-            raise GraphError("bipartition does not cover all vertices")
-        for u, v in graph.edges:
-            if (u in self.side_x) == (v in self.side_x):
-                raise GraphError(f"edge ({u},{v}) does not cross the bipartition")
 
 
 @dataclass(frozen=True)
@@ -245,11 +255,11 @@ class FamilyHandle:
 
     ``name_map`` is a bijection from structural names ("c2", "c2_1", "x",
     "y3", ...) onto vertex indices; ``family`` is a small descriptor used by
-    the JSON format (kind plus generator parameters).
+    the JSON format (kind plus generator parameters).  The sides are the
+    graph's own (:attr:`bipartition`), which a builder's graph holds.
     """
 
     graph: Graph
-    bipartition: Optional[Bipartition]
     name_map: dict[str, int]
     family: dict = field(default_factory=dict)
 
@@ -257,8 +267,12 @@ class FamilyHandle:
         values = sorted(self.name_map.values())
         if values != list(range(self.graph.vertex_count)):
             raise GraphError("name_map must be a bijection onto all vertices")
-        if self.bipartition is not None:
-            self.bipartition.validate_for(self.graph)
+
+    @property
+    def bipartition(self) -> Optional[Bipartition]:
+        """The graph's sides, ``graph.own_bipartition``: None when it has
+        none, as for an odd cycle."""
+        return self.graph.own_bipartition
 
     def vertex(self, name: str) -> int:
         return self.name_map[name]
@@ -267,8 +281,9 @@ class FamilyHandle:
         record = self.graph.to_dict()
         family = dict(self.family)
         family["names"] = dict(self.name_map)
-        if self.bipartition is not None:
-            family["side_x"] = sorted(self.bipartition.side_x)
+        bip = self.graph.own_bipartition
+        if bip is not None:
+            family["side_x"] = sorted(bip.side_x)
         record["family"] = family
         return record
 
@@ -284,7 +299,7 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
     which keeps every derived labeling byte-for-byte reproducible.  The
     closed forms in :mod:`magilab.constructions` label vertices by walking
     this order without building the graph, so changing the order means
-    changing them too.  Sides come from ``spec.on_side_x``.
+    changing them too.  The graph holds its sides, from ``spec.on_side_x``.
 
     Built unchecked (``spec`` checked its own parameters).  Every edge
     joins a spine vertex to a later vertex: first its own leaves, then the
@@ -307,24 +322,24 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
             names[f"c{i}_{j}"] = idx
             edges.append((spine, idx))
             idx += 1
-    graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges))
     bip = _sides(frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x), idx)
+    graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges), own_bipartition=bip)
     family = {"kind": "caterpillar", "leaf_counts": list(spec.leaf_counts)}
-    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names, family=family)
+    return _unchecked(FamilyHandle, graph=graph, name_map=names, family=family)
 
 
 def build_double_star(m: int, n: int) -> FamilyHandle:
     """Two adjacent centers, u with m leaves and v with n leaves.
 
-    The caterpillar S_{m,n} under a double-star descriptor; its graph, names
-    and sides are those of :func:`build_caterpillar`, which need no check.
+    The caterpillar S_{m,n} under a double-star descriptor; its graph, which
+    holds its sides, and its names are those of :func:`build_caterpillar`,
+    which need no check.
     """
     _double_star_sizes(m, n)
     base = build_caterpillar(CaterpillarSpec(2, (m, n)))
     family = {"kind": "double_star", "m": m, "n": n,
               "center_u": "c1", "center_v": "c2"}
-    return _unchecked(FamilyHandle, graph=base.graph, bipartition=base.bipartition,
-                      name_map=base.name_map, family=family)
+    return _unchecked(FamilyHandle, graph=base.graph, name_map=base.name_map, family=family)
 
 
 def build_lobster(p: int) -> FamilyHandle:
@@ -333,7 +348,7 @@ def build_lobster(p: int) -> FamilyHandle:
     Built unchecked: the edges (0, i) and then (i, p + i), i ascending in
     each run, are sorted pairs in lexicographic order; x, y_i and x_i name
     0, 1..p and p+1..2p; every edge joins some y_i (side Y) to x or x_i
-    (side X).
+    (side X), and the graph holds those sides.
     """
     _require_int("lobster parameter", "p", p)
     if p < 1:
@@ -344,10 +359,9 @@ def build_lobster(p: int) -> FamilyHandle:
         names[f"x{i}"] = p + i
     edges = [(0, i) for i in range(1, p + 1)]
     edges += [(i, p + i) for i in range(1, p + 1)]
-    graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges))
     bip = _sides(frozenset({0} | {p + i for i in range(1, p + 1)}), 2 * p + 1)
-    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
-                      family={"kind": "lobster", "p": p})
+    graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges), own_bipartition=bip)
+    return _unchecked(FamilyHandle, graph=graph, name_map=names, family={"kind": "lobster", "p": p})
 
 
 def build_cycle(length: int) -> FamilyHandle:
@@ -355,19 +369,17 @@ def build_cycle(length: int) -> FamilyHandle:
 
     Built unchecked: the closing edge is written (0, length-1), right after
     (0, 1), so the sorted pairs stand in lexicographic order; v_i names i;
-    for even length every edge joins an even vertex to an odd one, and an
-    odd cycle gets no sides.
+    for even length every edge joins an even vertex to an odd one, and
+    the graph holds those sides; an odd cycle holds None.
     """
     _require_int("cycle parameter", "length", length)
     if length < 3:
         raise GraphError("cycle length must be >= 3")
     edges = [(0, 1), (0, length - 1)] + [(i, i + 1) for i in range(1, length - 1)]
-    graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges))
-    bip = None
-    if length % 2 == 0:
-        bip = _sides(frozenset(range(0, length, 2)), length)
+    bip = _sides(frozenset(range(0, length, 2)), length) if length % 2 == 0 else None
+    graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges), own_bipartition=bip)
     names = {f"v{i}": i for i in range(length)}
-    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+    return _unchecked(FamilyHandle, graph=graph, name_map=names,
                       family={"kind": "cycle", "length": length})
 
 
@@ -376,31 +388,30 @@ def build_path(n: int) -> FamilyHandle:
 
     Built unchecked: the edges (i, i+1), i ascending, are sorted pairs in
     lexicographic order; v_i names i; every edge joins an even vertex to an
-    odd one.
+    odd one, and the graph holds those sides.
     """
     _require_int("path parameter", "n", n)
     if n < 1:
         raise GraphError("path needs at least one vertex")
     edges = [(i, i + 1) for i in range(n - 1)]
-    graph = _unchecked(Graph, vertex_count=n, edges=tuple(edges))
-    bip = _sides(frozenset(range(0, n, 2)), n)
+    graph = _unchecked(Graph, vertex_count=n, edges=tuple(edges),
+                       own_bipartition=_sides(frozenset(range(0, n, 2)), n))
     names = {f"v{i}": i for i in range(n)}
-    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
-                      family={"kind": "path", "n": n})
+    return _unchecked(FamilyHandle, graph=graph, name_map=names, family={"kind": "path", "n": n})
 
 
 def build_star(p: int) -> FamilyHandle:
     """Star with p leaves; identical to the one-spine caterpillar.
 
-    Its graph, names and sides are those of :func:`build_caterpillar`,
-    which need no check.
+    Its graph, which holds its sides, and its names are those of
+    :func:`build_caterpillar`, which need no check.
     """
     _require_int("star parameter", "p", p)
     if p < 1:
         raise GraphError("star needs p >= 1")
     base = build_caterpillar(CaterpillarSpec(1, (p,)))
-    return _unchecked(FamilyHandle, graph=base.graph, bipartition=base.bipartition,
-                      name_map=base.name_map, family={"kind": "star", "p": p})
+    return _unchecked(FamilyHandle, graph=base.graph, name_map=base.name_map,
+                      family={"kind": "star", "p": p})
 
 
 def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
@@ -408,18 +419,18 @@ def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
 
     Built unchecked: the edges (i, m+j), i and then j ascending, are sorted
     pairs in lexicographic order; the names take 0..m+n-1; every edge joins
-    an x to a y.
+    an x to a y, and the graph holds those sides.
     """
     _require_int("complete bipartite parameter", "m", m)
     _require_int("complete bipartite parameter", "n", n)
     if m < 1 or n < 1:
         raise GraphError("complete bipartite graph needs m, n >= 1")
     edges = [(i, m + j) for i in range(m) for j in range(n)]
-    graph = _unchecked(Graph, vertex_count=m + n, edges=tuple(edges))
-    bip = _sides(frozenset(range(m)), m + n)
+    graph = _unchecked(Graph, vertex_count=m + n, edges=tuple(edges),
+                       own_bipartition=_sides(frozenset(range(m)), m + n))
     names = {f"x{i + 1}": i for i in range(m)}
     names.update({f"y{j + 1}": m + j for j in range(n)})
-    return _unchecked(FamilyHandle, graph=graph, bipartition=bip, name_map=names,
+    return _unchecked(FamilyHandle, graph=graph, name_map=names,
                       family={"kind": "complete_bipartite", "m": m, "n": n})
 
 
@@ -543,7 +554,8 @@ def graph_from_dict(data: dict):
     record's before anything is built, so the work stays proportional to
     the record's size whatever the parameters ask for.  ``Graph.from_dict``
     is the check of the record; the family builders build unchecked, so the
-    rebuild costs no second one.
+    rebuild costs no second one, and its graph holds the sides that
+    ``side_x`` is compared with.
     """
     graph = Graph.from_dict(data)
     family = data.get("family")
@@ -567,11 +579,10 @@ def graph_from_dict(data: dict):
     if (size(*params) != (graph.vertex_count, graph.edge_count)
             or (handle := build(*params)).graph != graph):
         raise GraphError("family descriptor does not reproduce the serialized edges")
-    rebuilt = {"names": handle.name_map}
-    if handle.bipartition is not None:
-        rebuilt["side_x"] = sorted(handle.bipartition.side_x)
+    sides = handle.bipartition  # the rebuilt graph holds them: no search
+    rebuilt = {"names": handle.name_map, "side_x": sides and sorted(sides.side_x)}
     for key in ("names", "side_x"):
-        if key in family and family[key] != rebuilt.get(key):
+        if key in family and family[key] != rebuilt[key]:
             raise GraphError(f"family descriptor {key}={family[key]!r} differs from "
                              f"the one its parameters rebuild")
     return handle

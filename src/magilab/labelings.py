@@ -175,11 +175,13 @@ def neighbor_block_holds(graph: Graph, labeling: TotalLabeling, b: int) -> bool:
     """Do all neighbors of each vertex share one of the two vertex-label blocks?
 
     The blocks are {1..b} and {b+|E|+1..|V|+|E|}.  Inputs are checked for
-    the structural preconditions (bijection, 1 <= b <= |V|); the block
-    property itself is evaluated directly, so a corrupted labeling simply
-    returns False.
+    the structural preconditions (bijection, b exactly an int in 1..|V|);
+    the block property itself is evaluated directly, so a corrupted
+    labeling simply returns False.
     """
     check_total_labeling(graph, labeling)
+    if type(b) is not int:  # True would count as 1, and 2.0 as 2
+        raise LabelingError(f"b={b!r} is not an integer")
     if not 1 <= b <= graph.vertex_count:
         raise LabelingError(f"b={b} outside 1..{graph.vertex_count}")
     high_start = b + graph.edge_count + 1
@@ -220,8 +222,9 @@ def classify(graph: Graph, labeling: TotalLabeling,
     The side tag names the partite side, "X" or "Y", whose vertex labels
     are exactly {1..b}.  It is only set when 0 < b < |V| and that low block
     is a side of ``bipartition``, used as given, or without one of the
-    graph's own (``Graph.own_bipartition``, worked out once per graph),
-    which a disconnected or non-bipartite graph does not have.
+    graph's own (``Graph.own_bipartition``: held by a family builder's
+    graph, worked out once for any other), which a disconnected or
+    non-bipartite graph does not have.
     """
     k = magic_constant_of(graph, labeling)
     b = _offset_of(graph, labeling, k)

@@ -1,11 +1,13 @@
 """Graph containers, family generators, and structural checks."""
 
+import json
 import re
 import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
 
+from magilab import graphs
 from magilab.graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, GraphError,
                             bipartition_of, build_caterpillar,
                             build_complete_bipartite, build_cycle,
@@ -30,6 +32,7 @@ def test_graph_invariants_rejected(edges, message):
 
 
 P3 = Graph(3, ((0, 1), (1, 2)))
+PAIRS = "bad graph record: edges must be an array of [u, v] pairs"
 
 
 @pytest.mark.parametrize("make,message", [
@@ -38,21 +41,28 @@ P3 = Graph(3, ((0, 1), (1, 2)))
     (lambda: Graph(True, ()), "bad graph record: True is not an integer"),
     # every value's type is checked before the self-loop is seen
     (lambda: Graph(3, ((1, 1), (0, 2.0))), "bad graph record: 2.0 is not an integer"),
+    # the shape of the edges is checked before any type: a generator would be used up
+    (lambda: Graph(3, (e for e in [(0, 1), (1, 2)])), PAIRS),
+    (lambda: Graph(3, [(0, 1, 2)]), PAIRS),
+    (lambda: Graph(3, [(0,)]), PAIRS),
+    (lambda: Graph(3, [5]), PAIRS),
+    (lambda: Graph(3, {(0, 1): 1}), PAIRS),
     (lambda: Graph(-1, ()), "vertex_count must be nonnegative"),
     (lambda: P3.index_of_edge(2, 0), "no edge (0, 2) in graph"),
     (lambda: Bipartition(frozenset({0, 1}), frozenset({1, 2})), "bipartition sides overlap"),
-    (lambda: Bipartition(frozenset({0}), frozenset({1})).validate_for(P3),
-     "bipartition does not cover all vertices"),
-    (lambda: Bipartition(frozenset({0, 1}), frozenset({2})).validate_for(P3),
-     "edge (0,1) does not cross the bipartition"),
-    (lambda: FamilyHandle(P3, None, {"a": 0, "b": 0, "c": 2}),
+    # True would stand for vertex 1 and 2.0 for vertex 2
+    (lambda: Bipartition({0, True}, {2, 3}), "bipartition member True is not an integer"),
+    (lambda: Bipartition({0, 2.0}, {1, 3}), "bipartition member 2.0 is not an integer"),
+    (lambda: Bipartition({0, "a"}, {1}), "bipartition member 'a' is not an integer"),
+    (lambda: FamilyHandle(P3, {"a": 0, "b": 0, "c": 2}),
      "name_map must be a bijection onto all vertices"),
     (lambda: build_path(0), "path needs at least one vertex"),
     (lambda: build_star(0), "star needs p >= 1"),
     (lambda: build_complete_bipartite(0, 1), "complete bipartite graph needs m, n >= 1"),
 ], ids=["float-endpoint", "float-count", "bool-count", "type-before-loop",
-        "negative-count", "absent-edge", "overlap", "uncovered", "uncrossed", "names",
-        "path0", "star0", "K0,1"])
+        "edge-generator", "edge-triple", "edge-single", "edge-int", "edge-dict",
+        "negative-count", "absent-edge", "overlap", "bip-bool", "bip-float", "bip-str",
+        "names", "path0", "star0", "K0,1"])
 def test_graph_layer_refusals(make, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         make()
@@ -215,23 +225,6 @@ def test_odd_spine_ends_sit_in_x(r):
     assert handle.vertex(f"c{r}_1") in handle.bipartition.side_y
 
 
-def test_generators_respect_bipartition():
-    handles = [
-        build_caterpillar(CaterpillarSpec(4, (1, 2, 0, 1))),
-        build_double_star(2, 3),
-        build_lobster(3),
-        build_cycle(6),
-        build_path(5),
-        build_star(4),
-        build_complete_bipartite(2, 3),
-    ]
-    for handle in handles:
-        if handle.bipartition is None:
-            continue
-        handle.bipartition.validate_for(handle.graph)
-        assert 0 in handle.bipartition.side_x
-
-
 def _every_family_handle():
     """What each family builder builds over a grid of its parameters."""
     for r in range(1, 5):
@@ -252,13 +245,36 @@ def test_unchecked_builds_equal_the_checked_constructors():
         assert type(g.vertex_count) is int and type(g.edges) is tuple
         assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in g.edges)
         assert Graph(g.vertex_count, g.edges) == g, handle.family
-        checked = FamilyHandle(g, handle.bipartition, handle.name_map, handle.family)
+        checked = FamilyHandle(g, handle.name_map, handle.family)
         assert checked == handle, handle.family
         # the sides are built unchecked too: they are the graph's own two-colouring
         bip = handle.bipartition
         if bip is not None:
             assert Bipartition(bip.side_x, bip.side_y) == bip, handle.family
         assert bipartition_of(g) == bip, handle.family
+
+
+def test_builders_hand_their_sides_to_the_graph(monkeypatch):
+    """A builder's graph holds its sides: reading them, writing the record
+    and reading it back run no breadth-first search.  A fresh copy of the
+    graph holds none, so its search is an independent reference."""
+    searches = []
+
+    def counted_bfs(graph, root):
+        searches.append(graph)
+        return bfs(graph, root)
+
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", counted_bfs)
+    for handle in _every_family_handle():
+        sides = handle.bipartition
+        record = json.loads(json.dumps(handle.to_dict()))
+        back = graph_from_dict(record)
+        assert back.bipartition == sides and back.to_dict() == record, handle.family
+        assert searches == [], handle.family
+        g = handle.graph
+        assert bipartition_of(Graph(g.vertex_count, g.edges)) == sides, handle.family
+        searches.clear()
 
 
 @pytest.mark.parametrize("build, args", [

@@ -81,6 +81,13 @@ def test_neighbor_block_rejects_bad_offset():
         neighbor_block_holds(P4_HANDLE.graph, P4_LABELING, 5)
 
 
+@pytest.mark.parametrize("b", [True, 2.0, 1.5])
+def test_neighbor_block_refuses_a_non_integer_offset(b):
+    # True would count as offset 1, and 2.0 as offset 2
+    with pytest.raises(LabelingError, match=rf"^b={re.escape(repr(b))} is not an integer$"):
+        neighbor_block_holds(P4_HANDLE.graph, P4_LABELING, b)
+
+
 def test_neighbor_block_on_search_output():
     for b in (2, 3):
         report = find_consecutive(SearchQuery(P3, b=b))
@@ -248,8 +255,10 @@ def test_classify_has_no_side_on_a_graph_without_its_own_bipartition():
 
 def test_classify_works_out_a_graphs_sides_once(monkeypatch):
     """One colouring, and so one breadth-first search, per graph, however
-    many labelings of it are classified."""
-    g = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
+    many labelings of it are classified.  The graph is a fresh copy of a
+    builder's, so it does not hold the sides the builder gave its own."""
+    built = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
+    g = Graph(built.vertex_count, built.edges)
     found = [lab for b in range(1, g.vertex_count)
              for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
     calls, searches = [], []
