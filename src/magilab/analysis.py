@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (CaterpillarSpec, Graph, GraphError, _bfs, _double_star_sizes,
-                     _require_int, bipartition_of, build_caterpillar, build_complete_bipartite,
-                     build_cycle, build_double_star, build_lobster)
+from .graphs import (CaterpillarSpec, Graph, _bfs, _double_star_sizes, _lobster_size,
+                     _require_int, build_caterpillar, build_complete_bipartite, build_cycle,
+                     build_double_star, build_lobster, is_connected)
 from .search import (BudgetExceeded, SearchError, SearchQuery, feasible_b_set,
                      find_consecutive, find_edge_magic, find_graceful)
 
@@ -75,17 +75,27 @@ def _verdict(predicted, observed) -> str:
 # ---------------------------------------------------------------------------
 
 def _sides(graph: Graph, message: str):
-    """``bipartition_of(graph)``, with a disconnected graph refused as a
-    :class:`SearchError` carrying ``message``."""
-    try:
-        return bipartition_of(graph)
-    except GraphError:  # disconnected
-        raise SearchError(message) from None
+    """The sides the graph holds, ``graph.own_bipartition``, or None when it
+    is not bipartite; a disconnected graph is refused as a
+    :class:`SearchError` carrying ``message``.
+
+    None stands for both a disconnected and a non-bipartite graph, so only
+    then is connectivity checked: a family builder's graph that holds its
+    sides answers with no search.
+    """
+    bipartition = graph.own_bipartition
+    if bipartition is None and not is_connected(graph):
+        raise SearchError(message)
+    return bipartition
 
 
 def predicted_b_candidates(graph: Graph) -> set[int]:
-    """Admissible block offsets: four side-derived values when bipartite,
-    only the two extremes otherwise."""
+    """Admissible block offsets of a connected graph: {0, |X|, |Y|, |V|}
+    for sides X and Y when bipartite, only the two extremes otherwise.
+
+    The paper's four-values theorem; every suite row that grades it, and
+    the trichotomy's case (iii), compare against this set.
+    """
     n = graph.vertex_count
     bipartition = _sides(graph, "predicted_b_candidates requires a connected graph")
     if bipartition is None:
@@ -94,22 +104,15 @@ def predicted_b_candidates(graph: Graph) -> set[int]:
     return {0, x, y, n}
 
 
-def caterpillar_b_set(spec: CaterpillarSpec) -> set[int]:
-    """Exact feasible offsets for a caterpillar: {0, beta, alpha, alpha+beta}."""
-    return {0, spec.beta, spec.alpha, spec.alpha + spec.beta}
-
-
 def lobster_b_set(p: int) -> set[int]:
     """Feasible offsets for the two-level spider with p legs.
 
     From three legs up only the extremes survive; the one- and two-leg
     spiders are paths, where all four side values are feasible.  ``p``
-    must be exactly an int, as in ``build_lobster``: ``True`` and ``2.0``
-    raise :class:`GraphError`.
+    must be exactly an int of at least 1, as in ``build_lobster``: ``0``,
+    ``True`` and ``2.0`` raise :class:`GraphError`.
     """
-    _require_int("lobster parameter", "p", p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _lobster_size(p)
     if p >= 3:
         return {0, 2 * p + 1}
     return {0, p, p + 1, 2 * p + 1}
@@ -145,18 +148,15 @@ def classify_trichotomy(graph: Graph, feasible: set[int],
     from an exhausted search; a search refused by the label budget is
     reported by :func:`_row`, not here.
     """
-    bipartition = _sides(graph, "trichotomy applies to connected graphs")
-    if bipartition is None:
+    if _sides(graph, "trichotomy applies to connected graphs") is None:
         raise SearchError("trichotomy applies to bipartite graphs")
-    desc = description or f"bipartite graph on {graph.vertex_count} vertices"
     n = graph.vertex_count
-    x, y = bipartition.sizes
-    is_tree = graph.edge_count == n - 1
+    desc = description or f"bipartite graph on {n} vertices"
     if feasible == set():
         case = "case (i): none"
     elif feasible == {0, n}:
         case = "case (ii): extremes only"
-    elif is_tree and feasible == {0, x, y, n}:
+    elif graph.edge_count == n - 1 and feasible == predicted_b_candidates(graph):
         case = "case (iii): tree with all four"
     else:
         case = "no case"
@@ -195,9 +195,10 @@ def _feasible_report(theorem: str, desc: str, graph: Graph, predicted: set[int],
 def closing_claims_suite(budget: Optional[int] = None) -> list[TheoremReport]:
     """Desk-scale check of the closing claims about cycles and K_{m,n}.
 
-    Odd cycles must realize exactly {0, length}.  The even-cycle existence
-    claim is contested: the dual argument says an offset-0 labeling exists
-    iff an offset-|V| one does, and even cycles admit no super labeling.
+    Odd cycles must realize exactly their :func:`predicted_b_candidates`,
+    {0, length}.  The even-cycle existence claim is contested: the dual
+    argument says an offset-0 labeling exists iff an offset-|V| one does,
+    and even cycles admit no super labeling.
     The suite therefore records the searched answer and passes on internal
     consistency of that equivalence rather than on either reading.  Those
     rows search b = 0 and b = |V| themselves: ``feasible_b_set`` answers
@@ -208,7 +209,7 @@ def closing_claims_suite(budget: Optional[int] = None) -> list[TheoremReport]:
     for length in (3, 5, 7):
         g = build_cycle(length).graph
         reports.append(_feasible_report("odd-cycle", f"C_{length}", g,
-                                        {0, length}, budget))
+                                        predicted_b_candidates(g), budget))
     for length in (4, 6):
         def even_check():
             graph = build_cycle(length).graph
@@ -282,9 +283,11 @@ def caterpillar_suite(max_labels: int = 19,
     """Both directions of the caterpillar feasibility characterization.
 
     Every caterpillar spec with |V|+|E| <= max_labels is checked; specs
-    describing isomorphic trees share one exhaustive search, and each
-    spelling's predicted set must match it.  A cap that is not an int, or
-    is below 3, the label count of P2, the smallest caterpillar, raises.
+    describing isomorphic trees share one exhaustive search, graded against
+    :func:`predicted_b_candidates` of the class's first spelling (side
+    sizes, and so the prediction, do not change under isomorphism).  A cap
+    that is not an int, or is below 3, the label count of P2, the smallest
+    caterpillar, raises.
     """
     if type(max_labels) is not int:
         raise SuiteLimitError(f"max_labels must be an integer, got {max_labels!r}")
@@ -304,15 +307,9 @@ def caterpillar_suite(max_labels: int = 19,
         desc = "S_" + ",".join(str(c) for c in rep.leaf_counts)
         if len(specs) > 1:
             desc += f" (+{len(specs) - 1} isomorphic spellings)"
-        predictions = {frozenset(caterpillar_b_set(s)) for s in specs}
-        if len(predictions) > 1:
-            reports.append(TheoremReport(
-                "caterpillar-iff", desc, "one prediction per isomorphism class",
-                f"{len(predictions)} distinct predictions", FAIL))
-            continue
-        predicted = set(next(iter(predictions)))
-        reports.append(_feasible_report("caterpillar-iff", desc,
-                                        handles[cert], predicted, budget))
+        graph = handles[cert]
+        reports.append(_feasible_report("caterpillar-iff", desc, graph,
+                                        predicted_b_candidates(graph), budget))
     return reports
 
 

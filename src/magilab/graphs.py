@@ -69,6 +69,14 @@ def _double_star_sizes(m, n) -> None:
         raise GraphError("double star needs m >= 1 and n >= 1")
 
 
+def _lobster_size(p) -> None:
+    """Raise GraphError unless p is an int of at least 1: the leg count of
+    a lobster L_p."""
+    _require_int("lobster parameter", "p", p)
+    if p < 1:
+        raise GraphError("lobster needs p >= 1")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with a canonical edge order.
@@ -149,13 +157,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def index_of_edge(self, u: int, v: int) -> int:
-        pair = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[pair]
-        except KeyError:
-            raise GraphError(f"no edge {pair} in graph") from None
 
     def to_dict(self) -> dict:
         return {
@@ -350,9 +351,7 @@ def build_lobster(p: int) -> FamilyHandle:
     0, 1..p and p+1..2p; every edge joins some y_i (side Y) to x or x_i
     (side X), and the graph holds those sides.
     """
-    _require_int("lobster parameter", "p", p)
-    if p < 1:
-        raise GraphError("lobster needs p >= 1")
+    _lobster_size(p)
     names = {"x": 0}
     for i in range(1, p + 1):
         names[f"y{i}"] = i

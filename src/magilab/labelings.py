@@ -145,15 +145,6 @@ def magic_constant_of(graph: Graph, labeling: TotalLabeling) -> Optional[int]:
     return k
 
 
-def consecutive_index_of(graph: Graph, labeling: TotalLabeling) -> Optional[int]:
-    """Block offset b such that the edge labels are exactly {b+1..b+|E|}.
-
-    Only reported for edge-magic labelings; a contiguous edge block without
-    the magic property would be a misleading positive.
-    """
-    return _offset_of(graph, labeling, magic_constant_of(graph, labeling))
-
-
 def _offset_of(graph: Graph, labeling: TotalLabeling, k: Optional[int]) -> Optional[int]:
     """The block offset of a checked labeling whose common edge sum is ``k``.
 

@@ -18,8 +18,7 @@ from magilab.graphs import (CaterpillarSpec, build_caterpillar,
                             build_complete_bipartite, build_cycle,
                             build_double_star, build_lobster, build_path,
                             build_star, is_connected)
-from magilab.labelings import (check_total_labeling, classify,
-                               consecutive_index_of, is_graceful,
+from magilab.labelings import (check_total_labeling, classify, is_graceful,
                                magic_constant_of, neighbor_block_holds)
 from magilab.search import (SearchQuery, count_canonical, feasible_b_set,
                             find_consecutive, find_edge_magic, find_graceful)
@@ -254,14 +253,14 @@ def test_criterion_06_transform_contracts(all_labelings):
         n, e = g.vertex_count, g.edge_count
         top = n + e + 1
         k = magic_constant_of(g, lab)
-        b = consecutive_index_of(g, lab)
+        b = classify(g, lab).consecutive_index
         if k is None:
             failures.append("non-magic labeling in corpus")
             continue
         d = dual(g, lab)
         if magic_constant_of(g, d) != 3 * top - k:
             failures.append(f"dual constant wrong on {g.vertex_count}-vertex graph")
-        if consecutive_index_of(g, d) != (n - b if b is not None else None):
+        if classify(g, d).consecutive_index != (n - b if b is not None else None):
             failures.append("dual offset wrong")
         if dual(g, d) != lab:
             failures.append("dual not an involution")
@@ -273,7 +272,7 @@ def test_criterion_06_transform_contracts(all_labelings):
                 expected = 4 * n + e + 3 - k
             else:
                 expected = 5 * b + (n - b) + 3 * e + 3 - k
-            if consecutive_index_of(g, star) != b:
+            if classify(g, star).consecutive_index != b:
                 failures.append("lambda_star changed the offset")
             if magic_constant_of(g, star) != expected:
                 failures.append(f"lambda_star constant {magic_constant_of(g, star)} "
@@ -295,7 +294,7 @@ def test_criterion_07_side_offset_conversions(all_labelings):
         n = g.vertex_count
         if n > 9 or g.edge_count != n - 1 or not is_connected(g):
             continue
-        b = consecutive_index_of(g, lab)
+        b = classify(g, lab).consecutive_index
         if b is None or b == 0 or b == n:
             continue
         phi = to_graceful(g, lab)
@@ -381,7 +380,7 @@ def test_criterion_10_neighbor_block_property(all_labelings):
     failures = []
     checked = 0
     for g, lab in all_labelings:
-        b = consecutive_index_of(g, lab)
+        b = classify(g, lab).consecutive_index
         if b is None or b < 1:
             continue
         if not neighbor_block_holds(g, lab, b):

@@ -4,15 +4,15 @@ import re
 
 import pytest
 
-from magilab.analysis import (FAIL, PASS, SuiteLimitError,
-                              caterpillar_b_set, caterpillar_suite,
-                              classify_trichotomy, closing_claims_suite,
+from magilab import analysis, cli
+from magilab.analysis import (FAIL, PASS, SuiteLimitError, _caterpillar_specs,
+                              caterpillar_suite, classify_trichotomy, closing_claims_suite,
                               constant_form_check, double_star_suite,
                               format_report_table, lobster_b_set,
                               lobster_suite, predicted_b_candidates)
-from magilab.graphs import (CaterpillarSpec, Graph, GraphError, bipartition_of,
-                            build_complete_bipartite, build_cycle,
-                            build_double_star, build_lobster, build_path)
+from magilab.graphs import (CaterpillarSpec, Graph, GraphError,
+                            build_caterpillar, build_complete_bipartite, build_cycle,
+                            build_double_star, build_lobster, build_path, build_star)
 from magilab.search import SearchError, feasible_b_set
 
 
@@ -26,8 +26,9 @@ def test_predicted_candidates():
 
 
 def test_side_checks_search_the_graph_once(monkeypatch):
-    """predicted_b_candidates and classify_trichotomy make one breadth-first
-    search per call, and still refuse a disconnected graph."""
+    """predicted_b_candidates and classify_trichotomy read the sides a
+    builder's graph holds, with no breadth-first search; any other graph is
+    searched once, and a disconnected one is still refused."""
     from magilab import graphs
 
     bfs, searches = graphs._bfs, []
@@ -37,11 +38,25 @@ def test_side_checks_search_the_graph_once(monkeypatch):
         return bfs(graph, root)
 
     monkeypatch.setattr(graphs, "_bfs", counted_bfs)
+    for handle in (build_path(4), build_star(3), build_caterpillar(CaterpillarSpec(3, (2, 0, 1))),
+                   build_double_star(1, 2), build_lobster(3), build_cycle(6),
+                   build_complete_bipartite(2, 3)):
+        g = handle.graph
+        predicted = predicted_b_candidates(g)
+        assert predicted == {0, *g.own_bipartition.sizes, g.vertex_count}
+        classify_trichotomy(g, predicted)
+    assert searches == []
     l3 = build_lobster(3).graph
-    assert predicted_b_candidates(l3) == {0, 3, 4, 7}
-    assert searches == [l3]
-    assert classify_trichotomy(l3, {0, 7}).verdict == PASS
-    assert searches == [l3, l3]
+    copy = Graph(l3.vertex_count, l3.edges)
+    assert predicted_b_candidates(copy) == {0, 3, 4, 7}
+    assert classify_trichotomy(copy, {0, 7}).verdict == PASS
+    assert predicted_b_candidates(copy) == {0, 3, 4, 7}
+    assert searches == [copy]
+    # an odd cycle holds no sides, so each call checks its connectivity
+    c5 = Graph(5, build_cycle(5).graph.edges)
+    assert predicted_b_candidates(c5) == {0, 5}
+    with pytest.raises(SearchError, match="^trichotomy applies to bipartite graphs$"):
+        classify_trichotomy(c5, set())
     two_k2 = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(SearchError, match="predicted_b_candidates requires a connected graph"):
         predicted_b_candidates(two_k2)
@@ -56,7 +71,22 @@ def test_side_checks_search_the_graph_once(monkeypatch):
     (1, (4,), {0, 1, 4, 5}),
 ])
 def test_caterpillar_b_set(r, counts, expected):
-    assert caterpillar_b_set(CaterpillarSpec(r, counts)) == expected
+    graph = build_caterpillar(CaterpillarSpec(r, counts)).graph
+    assert predicted_b_candidates(graph) == expected
+    assert predicted_b_candidates(Graph(graph.vertex_count, graph.edges)) == expected
+
+
+def test_predicted_b_candidates_match_the_caterpillar_formula():
+    """The paper's {0, alpha, beta, alpha+beta} for every caterpillar with
+    at most 10 vertices, against sides found by a breadth-first search: each
+    graph is a copy that does not hold the builder's sides."""
+    specs = 0
+    for spec in _caterpillar_specs(10):
+        specs += 1
+        edges = build_caterpillar(spec).graph.edges
+        n = spec.vertex_count
+        assert predicted_b_candidates(Graph(n, edges)) == {0, spec.alpha, spec.beta, n}
+    assert specs == 1022
 
 
 def test_lobster_b_set():
@@ -65,7 +95,7 @@ def test_lobster_b_set():
     assert lobster_b_set(1) == {0, 1, 2, 3}
     assert 2 in lobster_b_set(1)
     assert 3 in lobster_b_set(2)
-    with pytest.raises(ValueError, match="^p must be >= 1$"):
+    with pytest.raises(GraphError, match="^lobster needs p >= 1$"):
         lobster_b_set(0)
 
 
@@ -140,6 +170,14 @@ def test_lobster_suite_passes():
     assert all(r.verdict == PASS for r in reports)
     graceful = [r for r in reports if r.theorem_id == "lobster-graceful"]
     assert len(graceful) == 1 and graceful[0].observed == "found"
+
+
+def test_lobster_graceful_row_fails_without_a_labeling(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "find_graceful", lambda *args, **kwargs: [])
+    row = lobster_suite()[-1]
+    assert (row.theorem_id, row.observed, row.verdict) == ("lobster-graceful", "none", FAIL)
+    assert cli.main(["suite", "lobster"]) == 1
+    assert "lobster-graceful  L_4" in capsys.readouterr().out
 
 
 def test_double_star_suite_passes():

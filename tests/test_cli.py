@@ -1,9 +1,14 @@
 """Command-line driver: round trips, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import magilab
 from magilab import analysis, cli, constructions, search
 from magilab.cli import main, to_dot
 from magilab.graphs import (CaterpillarSpec, build_caterpillar, build_complete_bipartite,
@@ -644,3 +649,27 @@ def test_budget_env_read_after_parser_is_built(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "all")
     assert code == 1
     assert out == "" and "budget exceeded" in err
+
+
+def _run_module(module, *argv):
+    """Run ``python -m module argv`` on this package, with no budget from
+    the environment."""
+    env = {k: v for k, v in os.environ.items() if k != "MAGILAB_BUDGET"}
+    src = str(Path(magilab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.delenv("MAGILAB_BUDGET", raising=False)
+    argv = ("suite", "closing", "--format", "json")
+    proc = _run_module("magilab", *argv)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+    proc = _run_module("magilab.cli", "search")  # --graph missing
+    with pytest.raises(SystemExit) as exc:
+        main(["search"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (exc.value.code, "",
+                                                           capsys.readouterr().err)
+    assert proc.returncode == 2 and "required: --graph" in proc.stderr

@@ -12,8 +12,7 @@ from magilab.constructions import (ConstructionError, caterpillar_beta_labeling,
 from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, GraphError,
                             build_caterpillar, build_double_star, build_path)
 from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
-                               check_total_labeling, classify, consecutive_index_of,
-                               is_graceful)
+                               check_total_labeling, classify, is_graceful)
 from magilab.search import SearchQuery, find_consecutive
 
 
@@ -319,7 +318,7 @@ def test_lambda_star_is_an_involution_that_keeps_b_and_reflects_k():
 ])
 def test_checks_still_reject_malformed_labelings(labeling):
     g = build_caterpillar(CaterpillarSpec(2, (1, 1))).graph
-    for check in (classify, consecutive_index_of, dual, lambda_star):
+    for check in (classify, dual, lambda_star):
         with pytest.raises(LabelingError):
             check(g, labeling)
 

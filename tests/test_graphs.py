@@ -48,7 +48,6 @@ PAIRS = "bad graph record: edges must be an array of [u, v] pairs"
     (lambda: Graph(3, [5]), PAIRS),
     (lambda: Graph(3, {(0, 1): 1}), PAIRS),
     (lambda: Graph(-1, ()), "vertex_count must be nonnegative"),
-    (lambda: P3.index_of_edge(2, 0), "no edge (0, 2) in graph"),
     (lambda: Bipartition(frozenset({0, 1}), frozenset({1, 2})), "bipartition sides overlap"),
     # True would stand for vertex 1 and 2.0 for vertex 2
     (lambda: Bipartition({0, True}, {2, 3}), "bipartition member True is not an integer"),
@@ -61,7 +60,7 @@ PAIRS = "bad graph record: edges must be an array of [u, v] pairs"
     (lambda: build_complete_bipartite(0, 1), "complete bipartite graph needs m, n >= 1"),
 ], ids=["float-endpoint", "float-count", "bool-count", "type-before-loop",
         "edge-generator", "edge-triple", "edge-single", "edge-int", "edge-dict",
-        "negative-count", "absent-edge", "overlap", "bip-bool", "bip-float", "bip-str",
+        "negative-count", "overlap", "bip-bool", "bip-float", "bip-str",
         "names", "path0", "star0", "K0,1"])
 def test_graph_layer_refusals(make, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
@@ -159,8 +158,8 @@ def test_lobster_shape(p, vertices):
     assert g.edge_count == 2 * p
     assert handle.bipartition.sizes == (p + 1, p)
     for i in range(1, p + 1):
-        assert g.index_of_edge(handle.vertex("x"), handle.vertex(f"y{i}")) >= 0
-        assert g.index_of_edge(handle.vertex(f"y{i}"), handle.vertex(f"x{i}")) >= 0
+        assert (handle.vertex("x"), handle.vertex(f"y{i}")) in g.edge_index
+        assert (handle.vertex(f"y{i}"), handle.vertex(f"x{i}")) in g.edge_index
 
 
 def test_small_lobsters_are_paths():

@@ -9,8 +9,7 @@ from magilab import graphs
 from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
                             build_cycle, build_lobster, build_path)
 from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
-                               check_total_labeling, classify,
-                               consecutive_index_of, is_graceful,
+                               check_total_labeling, classify, is_graceful,
                                magic_constant_of, neighbor_block_holds)
 from magilab.search import SearchQuery, compute_automorphisms, find_consecutive
 
@@ -44,27 +43,26 @@ def test_magic_constant_rejects_mismatch():
 def test_edgeless_graph_has_no_constant():
     g = Graph(1, ())
     assert magic_constant_of(g, TotalLabeling((1,), ())) is None
-    assert consecutive_index_of(g, TotalLabeling((1,), ())) is None
     got = classify(g, TotalLabeling((1,), ()))
     assert got.magic_constant is None and got.consecutive_index is None
 
 
 def test_consecutive_index_examples():
-    assert consecutive_index_of(P4_HANDLE.graph, P4_LABELING) == 2
-    assert consecutive_index_of(P3, P3_LABELING) == 2
+    assert classify(P4_HANDLE.graph, P4_LABELING).consecutive_index == 2
+    assert classify(P3, P3_LABELING).consecutive_index == 2
 
 
 def test_consecutive_index_absent_for_gap():
     # edge labels {2,4,5} are not a block, whatever the vertex labels do
     lab = TotalLabeling((1, 3, 6, 7), (2, 4, 5))
-    assert consecutive_index_of(P4_HANDLE.graph, lab) is None
+    assert classify(P4_HANDLE.graph, lab).consecutive_index is None
 
 
 def test_consecutive_index_requires_magic():
     # block edge labels but two different edge sums
     lab = TotalLabeling((1, 2, 6, 7), (3, 4, 5))
     assert magic_constant_of(P4_HANDLE.graph, lab) is None
-    assert consecutive_index_of(P4_HANDLE.graph, lab) is None
+    assert classify(P4_HANDLE.graph, lab).consecutive_index is None
 
 
 def test_neighbor_block_examples():
@@ -151,7 +149,7 @@ def test_consecutive_index_invariant_under_automorphism():
     base = classify(g, P4_LABELING)
     for perm in compute_automorphisms(g):
         vl = tuple(P4_LABELING.vertex_labels[perm[v]] for v in range(g.vertex_count))
-        el = tuple(P4_LABELING.edge_labels[g.index_of_edge(perm[u], perm[v])]
+        el = tuple(P4_LABELING.edge_labels[g.edge_index[tuple(sorted((perm[u], perm[v])))]]
                    for u, v in g.edges)
         relabeled = TotalLabeling(vl, el)
         got = classify(g, relabeled)

@@ -13,8 +13,8 @@ from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
                             build_complete_bipartite, build_cycle,
                             build_double_star, build_lobster, build_path,
                             build_star)
-from magilab.labelings import (LabelingError, TotalLabeling, classify, consecutive_index_of,
-                               is_graceful, magic_constant_of)
+from magilab.labelings import (LabelingError, TotalLabeling, classify, is_graceful,
+                               magic_constant_of)
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
@@ -53,7 +53,7 @@ def test_search_results_verify():
     for b in range(P3.vertex_count + 1):
         report = find_consecutive(SearchQuery(P3, b=b))
         for lab in report.labelings:
-            assert consecutive_index_of(P3, lab) == b
+            assert classify(P3, lab).consecutive_index == b
             assert magic_constant_of(P3, lab) in report.constants_found
 
 
