@@ -278,6 +278,21 @@ class SuiteLimitError(ValueError):
     """A suite limit so small that the suite would check nothing."""
 
 
+def _spine_key(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Leaf counts along the caterpillar's non-leaf path, read from the
+    smaller end: equal keys, and only those, spell isomorphic trees.
+
+    A spine end with no leaf is itself a leaf of its neighbour, so it is
+    folded into that neighbour's count, once at each end while the spine
+    has two vertices or more; P2, spelled (1,) or (0, 0), folds to (1,).
+    """
+    if len(counts) > 1 and counts[0] == 0:
+        counts = (counts[1] + 1, *counts[2:])
+    if len(counts) > 1 and counts[-1] == 0:
+        counts = (*counts[:-2], counts[-2] + 1)
+    return min(counts, counts[::-1])
+
+
 def caterpillar_suite(max_labels: int = 19,
                       budget: Optional[int] = None) -> list[TheoremReport]:
     """Both directions of the caterpillar feasibility characterization.
@@ -288,26 +303,31 @@ def caterpillar_suite(max_labels: int = 19,
     sizes, and so the prediction, do not change under isomorphism).  A cap
     that is not an int, or is below 3, the label count of P2, the smallest
     caterpillar, raises.
+
+    The classes are found before any graph is built, by :func:`_spine_key`.
+    The key is complete: from three vertices up the non-leaf vertices of a
+    caterpillar form a path, and the tree is fixed by the leaf counts
+    along it, read in either direction.  One graph per class is built,
+    from its first spelling, and its :func:`_tree_certificate` orders the
+    rows.
     """
     if type(max_labels) is not int:
         raise SuiteLimitError(f"max_labels must be an integer, got {max_labels!r}")
     if max_labels < 3:
         raise SuiteLimitError(f"max_labels must be at least 3, got {max_labels}")
     max_vertices = (max_labels + 1) // 2
-    groups: dict[str, list[CaterpillarSpec]] = {}
-    handles: dict[str, Graph] = {}
+    groups: dict[tuple[int, ...], list[CaterpillarSpec]] = {}
     for spec in _caterpillar_specs(max_vertices):
-        graph = build_caterpillar(spec).graph
-        cert = _tree_certificate(graph)
-        groups.setdefault(cert, []).append(spec)
-        handles.setdefault(cert, graph)
+        groups.setdefault(_spine_key(spec.leaf_counts), []).append(spec)
+    classes: dict[str, tuple[list[CaterpillarSpec], Graph]] = {}
+    for specs in groups.values():
+        graph = build_caterpillar(specs[0]).graph
+        classes[_tree_certificate(graph)] = (specs, graph)
     reports = []
-    for cert, specs in sorted(groups.items()):
-        rep = specs[0]
-        desc = "S_" + ",".join(str(c) for c in rep.leaf_counts)
+    for _, (specs, graph) in sorted(classes.items()):
+        desc = "S_" + ",".join(str(c) for c in specs[0].leaf_counts)
         if len(specs) > 1:
             desc += f" (+{len(specs) - 1} isomorphic spellings)"
-        graph = handles[cert]
         reports.append(_feasible_report("caterpillar-iff", desc, graph,
                                         predicted_b_candidates(graph), budget))
     return reports

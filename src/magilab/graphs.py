@@ -4,7 +4,8 @@ Vertices are dense integers ``0..n-1``; structural names (spine positions,
 leaf slots, lobster roles) live in a :class:`FamilyHandle` next to the graph
 so labelings stay plain integer vectors.  A graph's two sides are stored in
 one place, :attr:`Graph.own_bipartition`: the family builders fill it with
-the sides they build, and any other graph works them out on first use.
+the sides they build, and any other graph works them out on first use, in
+the same breadth-first search that finds whether it is connected.
 Everything is immutable after construction and safe to share between
 threads.
 """
@@ -149,6 +150,25 @@ class Graph:
             return bipartition_of(self)
         except GraphError:  # disconnected
             return None
+
+    @cached_property
+    def _connected(self) -> bool:
+        """:func:`is_connected`'s answer, kept like ``adjacency``.
+
+        A family builder fills it with True, so a search's entry check
+        runs no search on a builder's graph.  Fewer than |V| - 1 edges
+        cannot connect |V| vertices; that answer costs no adjacency, so it
+        does not grow with |V|.
+        """
+        n = self.vertex_count
+        return n <= 1 or (self.edge_count >= n - 1 and -1 not in self._distances)
+
+    @cached_property
+    def _distances(self) -> list[int]:
+        """Each vertex's distance from vertex 0, -1 where it is not
+        reached: the one breadth-first search that both ``_connected`` and
+        :func:`bipartition_of` read, whichever asks first."""
+        return _bfs(self, 0)[1]
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -324,7 +344,8 @@ def build_caterpillar(spec: CaterpillarSpec) -> FamilyHandle:
             edges.append((spine, idx))
             idx += 1
     bip = _sides(frozenset(v for v, on_x in enumerate(spec.on_side_x) if on_x), idx)
-    graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges), own_bipartition=bip)
+    graph = _unchecked(Graph, vertex_count=idx, edges=tuple(edges), own_bipartition=bip,
+                       _connected=True)
     family = {"kind": "caterpillar", "leaf_counts": list(spec.leaf_counts)}
     return _unchecked(FamilyHandle, graph=graph, name_map=names, family=family)
 
@@ -359,7 +380,8 @@ def build_lobster(p: int) -> FamilyHandle:
     edges = [(0, i) for i in range(1, p + 1)]
     edges += [(i, p + i) for i in range(1, p + 1)]
     bip = _sides(frozenset({0} | {p + i for i in range(1, p + 1)}), 2 * p + 1)
-    graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges), own_bipartition=bip)
+    graph = _unchecked(Graph, vertex_count=2 * p + 1, edges=tuple(edges), own_bipartition=bip,
+                       _connected=True)
     return _unchecked(FamilyHandle, graph=graph, name_map=names, family={"kind": "lobster", "p": p})
 
 
@@ -376,7 +398,8 @@ def build_cycle(length: int) -> FamilyHandle:
         raise GraphError("cycle length must be >= 3")
     edges = [(0, 1), (0, length - 1)] + [(i, i + 1) for i in range(1, length - 1)]
     bip = _sides(frozenset(range(0, length, 2)), length) if length % 2 == 0 else None
-    graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges), own_bipartition=bip)
+    graph = _unchecked(Graph, vertex_count=length, edges=tuple(edges), own_bipartition=bip,
+                       _connected=True)
     names = {f"v{i}": i for i in range(length)}
     return _unchecked(FamilyHandle, graph=graph, name_map=names,
                       family={"kind": "cycle", "length": length})
@@ -394,7 +417,7 @@ def build_path(n: int) -> FamilyHandle:
         raise GraphError("path needs at least one vertex")
     edges = [(i, i + 1) for i in range(n - 1)]
     graph = _unchecked(Graph, vertex_count=n, edges=tuple(edges),
-                       own_bipartition=_sides(frozenset(range(0, n, 2)), n))
+                       own_bipartition=_sides(frozenset(range(0, n, 2)), n), _connected=True)
     names = {f"v{i}": i for i in range(n)}
     return _unchecked(FamilyHandle, graph=graph, name_map=names, family={"kind": "path", "n": n})
 
@@ -426,7 +449,7 @@ def build_complete_bipartite(m: int, n: int) -> FamilyHandle:
         raise GraphError("complete bipartite graph needs m, n >= 1")
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     graph = _unchecked(Graph, vertex_count=m + n, edges=tuple(edges),
-                       own_bipartition=_sides(frozenset(range(m)), m + n))
+                       own_bipartition=_sides(frozenset(range(m)), m + n), _connected=True)
     names = {f"x{i + 1}": i for i in range(m)}
     names.update({f"y{j + 1}": m + j for j in range(n)})
     return _unchecked(FamilyHandle, graph=graph, name_map=names,
@@ -460,20 +483,15 @@ def _bfs(graph: Graph, root: int) -> tuple[list[int], list[int]]:
 def is_connected(graph: Graph) -> bool:
     """True iff a single component covers every vertex (K_1 counts).
 
-    Fewer than |V| - 1 edges cannot connect |V| vertices; that answer costs
-    no adjacency, so it does not grow with |V|.
+    The answer is kept on the graph, so each graph is searched at most
+    once, and a family builder's graph not at all.
     """
-    n = graph.vertex_count
-    if n <= 1:
-        return True
-    if graph.edge_count < n - 1:
-        return False
-    return len(_bfs(graph, 0)[0]) == n
+    return graph._connected
 
 
 def bipartition_of(graph: Graph) -> Optional[Bipartition]:
     """Two-color a connected graph by the parity of each vertex's distance
-    from vertex 0, in one breadth-first search.
+    from vertex 0, in one breadth-first search, the one connectivity reads.
 
     Returns None when an edge joins two vertices of equal parity, which
     closes an odd cycle.  Disconnected input is rejected because side
@@ -484,10 +502,9 @@ def bipartition_of(graph: Graph) -> Optional[Bipartition]:
     n = graph.vertex_count
     if n == 0:
         return _sides(frozenset(), 0)
-    # as in is_connected, too few edges answer without building the adjacency
-    order, dist = _bfs(graph, 0) if graph.edge_count >= n - 1 else ([], [])
-    if len(order) < n:
+    if not graph._connected:
         raise GraphError("bipartition_of requires a connected graph")
+    dist = graph._distances
     if any(dist[u] % 2 == dist[v] % 2 for u, v in graph.edges):
         return None
     return _sides(frozenset(v for v in range(n) if dist[v] % 2 == 0), n)

@@ -26,9 +26,10 @@ def test_predicted_candidates():
 
 
 def test_side_checks_search_the_graph_once(monkeypatch):
-    """predicted_b_candidates and classify_trichotomy read the sides a
-    builder's graph holds, with no breadth-first search; any other graph is
-    searched once, and a disconnected one is still refused."""
+    """predicted_b_candidates and classify_trichotomy read the sides and
+    the connectivity a builder's graph holds, with no breadth-first search;
+    any other graph is searched once, however many calls ask, and a
+    disconnected one is still refused."""
     from magilab import graphs
 
     bfs, searches = graphs._bfs, []
@@ -45,6 +46,7 @@ def test_side_checks_search_the_graph_once(monkeypatch):
         predicted = predicted_b_candidates(g)
         assert predicted == {0, *g.own_bipartition.sizes, g.vertex_count}
         classify_trichotomy(g, predicted)
+    assert predicted_b_candidates(build_cycle(5).graph) == {0, 5}
     assert searches == []
     l3 = build_lobster(3).graph
     copy = Graph(l3.vertex_count, l3.edges)
@@ -52,11 +54,13 @@ def test_side_checks_search_the_graph_once(monkeypatch):
     assert classify_trichotomy(copy, {0, 7}).verdict == PASS
     assert predicted_b_candidates(copy) == {0, 3, 4, 7}
     assert searches == [copy]
-    # an odd cycle holds no sides, so each call checks its connectivity
+    # an odd cycle has no sides; the search that finds none also finds it connected
     c5 = Graph(5, build_cycle(5).graph.edges)
-    assert predicted_b_candidates(c5) == {0, 5}
+    for _ in range(3):
+        assert predicted_b_candidates(c5) == {0, 5}
     with pytest.raises(SearchError, match="^trichotomy applies to bipartite graphs$"):
         classify_trichotomy(c5, set())
+    assert searches == [copy, c5]
     two_k2 = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(SearchError, match="predicted_b_candidates requires a connected graph"):
         predicted_b_candidates(two_k2)
@@ -247,6 +251,57 @@ def test_tree_certificate_matches_isomorphism():
             assert len(found) == 1
             certificates |= found
     assert trees == 201 and len(certificates) == trees
+
+
+def test_spine_key_groups_spellings_as_the_certificate_does():
+    """Every spelling with at most 11 vertices: two spellings share a spine
+    key exactly when their trees share a certificate.  A key that is not
+    complete would merge two classes, and one that is not invariant would
+    split one, and neither would show in a passing suite."""
+    from magilab.analysis import _spine_key, _tree_certificate
+
+    key_to_cert, cert_to_key = {}, {}
+    specs = 0
+    for spec in _caterpillar_specs(11):
+        specs += 1
+        key = _spine_key(spec.leaf_counts)
+        cert = _tree_certificate(build_caterpillar(spec).graph)
+        assert key_to_cert.setdefault(key, cert) == cert, spec
+        assert cert_to_key.setdefault(cert, key) == key, spec
+    assert specs == 2046 and len(key_to_cert) == 287
+
+
+def test_caterpillar_suite_rows_match_grouping_every_spelling(monkeypatch):
+    """The rows, in order, are those of a loop that builds and certifies
+    every spelling and groups them by certificate, while the suite builds
+    one graph per class."""
+    from magilab.analysis import _tree_certificate
+
+    groups = {}
+    for spec in _caterpillar_specs(8):
+        graph = build_caterpillar(spec).graph
+        groups.setdefault(_tree_certificate(graph), []).append((spec, graph))
+    expected = []
+    for _, members in sorted(groups.items()):
+        spec, graph = members[0]
+        desc = "S_" + ",".join(str(c) for c in spec.leaf_counts)
+        if len(members) > 1:
+            desc += f" (+{len(members) - 1} isomorphic spellings)"
+        observed = feasible_b_set(graph)
+        predicted = predicted_b_candidates(graph)
+        expected.append((desc, predicted, observed, PASS if predicted == observed else FAIL, ""))
+
+    built = []
+
+    def counted_build(spec):
+        built.append(spec)
+        return build_caterpillar(spec)
+
+    monkeypatch.setattr(analysis, "build_caterpillar", counted_build)
+    reports = caterpillar_suite(max_labels=15)
+    assert [(r.graph_description, r.predicted, r.observed, r.verdict, r.detail)
+            for r in reports] == expected
+    assert len(built) == len(reports) == len(groups) == 43
 
 
 def test_report_table_renders():
