@@ -7,13 +7,14 @@ one place, :attr:`Graph.own_bipartition`: the family builders fill it with
 the sides they build, and any other graph works them out on first use, in
 the same breadth-first search that finds whether it is connected.
 Everything is immutable after construction and safe to share between
-threads.
+threads: a value worked out on first use is a pure function of the graph,
+so two threads that both work it out get the same one (see ``_cached``).
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 
@@ -32,7 +33,7 @@ def _unchecked(cls, **fields):
     sets one, with ``object.__setattr__``: writing ``obj.__dict__`` instead
     would give every instance a dictionary of its own, about 190 bytes more.
 
-    A field may also be a ``cached_property`` of ``cls``, given the value
+    A field may also be a ``_cached`` property of ``cls``, given the value
     the property would compute: it is a non-data descriptor, so the value
     set here is the one it reads back, and it computes nothing.
     """
@@ -40,6 +41,32 @@ def _unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+class _cached:
+    """A property worked out on its first read and kept on the instance.
+
+    Like ``functools.cached_property``, but it takes no lock.  It is a
+    non-data descriptor: the first read sets the value on the instance with
+    ``object.__setattr__``, as ``_unchecked`` does, and every later read
+    finds it there, so the function runs at most once per object in one
+    thread.  Two threads that both read it first may both run it; every
+    such value here is a pure function of the frozen instance, so they set
+    equal values.
+    """
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 def _sides(side_x: frozenset, n: int) -> "Bipartition":
@@ -127,7 +154,7 @@ class Graph:
         """Size of the label pool a total labeling of this graph draws from."""
         return self.vertex_count + len(self.edges)
 
-    @cached_property
+    @_cached
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
@@ -135,7 +162,7 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    @cached_property
+    @_cached
     def own_bipartition(self) -> Optional["Bipartition"]:
         """The graph's own two-colouring (:func:`bipartition_of`), or None
         when the graph is disconnected or not bipartite.
@@ -144,14 +171,19 @@ class Graph:
         with the sides it built, so reading it runs no search; on any other
         graph it is worked out on first use and kept, like ``adjacency``, so
         classifying many labelings of one graph makes one breadth-first
-        search of it.
+        search of it.  It is the last reader of ``_distances``
+        (:func:`bipartition_of` answers ``_connected`` first), so once it
+        is worked out the graph lets the distances go.
         """
         try:
             return bipartition_of(self)
         except GraphError:  # disconnected
             return None
+        finally:
+            with suppress(AttributeError):  # never worked out: K0, or too few edges
+                object.__delattr__(self, "_distances")
 
-    @cached_property
+    @_cached
     def _connected(self) -> bool:
         """:func:`is_connected`'s answer, kept like ``adjacency``.
 
@@ -163,14 +195,15 @@ class Graph:
         n = self.vertex_count
         return n <= 1 or (self.edge_count >= n - 1 and -1 not in self._distances)
 
-    @cached_property
+    @_cached
     def _distances(self) -> list[int]:
         """Each vertex's distance from vertex 0, -1 where it is not
         reached: the one breadth-first search that both ``_connected`` and
-        :func:`bipartition_of` read, whichever asks first."""
+        :func:`bipartition_of` read, whichever asks first.  Kept only until
+        ``own_bipartition`` is worked out."""
         return _bfs(self, 0)[1]
 
-    @cached_property
+    @_cached
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Map from sorted endpoint pair to position in the canonical order."""
         return {pair: i for i, pair in enumerate(self.edges)}
@@ -245,7 +278,7 @@ class CaterpillarSpec:
     def vertex_count(self) -> int:
         return self.spine_length + sum(self.leaf_counts)
 
-    @cached_property
+    @_cached
     def on_side_x(self) -> tuple[bool, ...]:
         """Side of each vertex in canonical order (see :func:`build_caterpillar`).
 
@@ -259,12 +292,12 @@ class CaterpillarSpec:
             sides.extend([not odd] * count)
         return tuple(sides)
 
-    @cached_property
+    @_cached
     def alpha(self) -> int:
         """Size of side X."""
         return sum(self.on_side_x)
 
-    @cached_property
+    @_cached
     def beta(self) -> int:
         """Size of side Y."""
         return self.vertex_count - self.alpha
@@ -497,7 +530,9 @@ def bipartition_of(graph: Graph) -> Optional[Bipartition]:
     closes an odd cycle.  Disconnected input is rejected because side
     identity would be arbitrary.  Otherwise the sides are built unchecked:
     every edge joins an even distance to an odd one, and vertex 0, at
-    distance 0, is in side X.
+    distance 0, is in side X.  The library reads the sides through
+    :attr:`Graph.own_bipartition`, which keeps them; a call made after that
+    has been worked out searches the graph again.
     """
     n = graph.vertex_count
     if n == 0:

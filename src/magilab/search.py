@@ -41,9 +41,16 @@ sum of deg(v) * f(v): the placed vertices fix part of it, and the unplaced
 ones add sum of (deg - 1) * f, which lies between their total weight times
 the lowest and the highest free label.  Leaves weigh nothing, so with
 leaves last that share is exactly 0 once the last non-leaf is placed.
-The check rests only on that identity, the sum window and labels (and
-sums) being distinct, which is the definition itself, so it grades
-nothing.
+That vertex, the last with weight, is the closing step: its label alone
+completes the sum, so there the check is one mask on the candidates,
+applied once per node rather than once per candidate.  In the edge-magic
+engine the mask is the one label the sum leaves; in the consecutive engine
+it is a residue class, and the free sums are cut to the one window of
+|E| sums the completed total allows.  After the closing step nothing
+weighs, so the leaves run with no sum check: whatever it could reject is
+already gone from their candidates.  The checks rest only on that
+identity, the sum window and labels (and sums) being distinct, which is
+the definition itself, so they grade nothing.
 
 The consecutive engine also drops a branch as soon as a free label is dead,
 which refutes most absent offsets long before the leaves.  With the sums so
@@ -113,6 +120,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, starmap, tee
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -222,6 +230,8 @@ class _Plan(NamedTuple):
     steps: list
     groups: list  # the twin classes, numbered by first placement, each ascending
     sym: Optional[tuple]  # what _class_maps lists R from; None when R is the identity
+    weights: list  # deg(v) - 1 of every vertex, largest first (see _k_window)
+    sieve: Optional[tuple]  # (g, m, inverse, comb) of the closing step; None with no edge
 
 
 def _plan(graph: Graph) -> _Plan:
@@ -239,9 +249,10 @@ def _plan(graph: Graph) -> _Plan:
     vertex after the root closes an edge to an earlier one: the non-leaves
     induce a connected subgraph (the inner vertices of a path between two
     non-leaves are non-leaves) and every leaf's neighbour is among them.
-    So every prefix of the order induces a connected graph.  Leaves come last because they carry no weight in the
-    degree-weighted sum check of the magic engines: once the last non-leaf
-    is placed, that check is exact.
+    So every prefix of the order induces a connected graph.  Leaves come
+    last because they carry no weight in the degree-weighted sum check of
+    the magic engines: once the last non-leaf, the closing step, is placed,
+    that check is exact, and the leaves after it need none.
 
     The root is the lowest-numbered vertex of least eccentricity among those
     of highest degree (``_centre``).  A high degree closes many edges early,
@@ -315,7 +326,14 @@ def _plan(graph: Graph) -> _Plan:
         rest -= degree[v] - 1
         steps.append((v, earlier[0] if earlier else None, tuple(earlier[1:]), below[v],
                       degree[v] - 1, rest))
-    return _Plan(steps, groups, sym)
+    sieve, e = None, graph.edge_count
+    if e:
+        dw = max([step[4] for step in steps if not step[5]])  # the closing step's weight
+        g = gcd(dw, e)
+        m = e // g
+        comb = ((1 << m * (graph.label_count // m + 1)) - 1) // ((1 << m) - 1)
+        sieve = (g, m, pow(dw // g, -1, m), comb)
+    return _Plan(steps, groups, sym, sorted([d - 1 for d in degree], reverse=True), sieve)
 
 
 def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
@@ -493,7 +511,7 @@ def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
     return members
 
 
-def _k_window(graph: Graph, labels: list[int]):
+def _k_window(graph: Graph, labels: list[int], weights: list[int]):
     """Integer window of conceivable magic constants.
 
     Summing k over all edges and adding each vertex label once gives
@@ -506,7 +524,6 @@ def _k_window(graph: Graph, labels: list[int]):
     1..|V|+|E|.
     """
     t = graph.label_count * (graph.label_count + 1) // 2
-    weights = sorted((graph.degree(v) - 1 for v in range(graph.vertex_count)), reverse=True)
     low = sum(w * x for w, x in zip(weights, labels))
     high = sum(w * x for w, x in zip(weights, reversed(labels)))
     return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
@@ -583,10 +600,32 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     exactly the pool, so |E| * L = w + (sum of (deg - 1) * f over the
     unplaced vertices), where ``w`` is sum(pool) - |E|(|E|-1)/2 plus the
     placed vertices' sum of (deg - 1) * f.  L lies in [hi - |E| + 1, lo].
-    The unplaced share lies between ``rest`` (see ``_plan``) times the
-    lowest and the highest free label, so a label that leaves no L in range
-    meeting those bounds is dropped.  When ``rest`` is 0 the share is 0:
-    w must be divisible by |E| and give L in range.
+    While ``rest`` (see ``_plan``) is positive, the unplaced share lies
+    between ``rest`` times the lowest and the highest free label, so a label
+    that leaves no L in range meeting those bounds is dropped.  The check
+    only prunes: at a leaf the |E| distinct sums, all within |E| - 1 of each
+    other, fill [lo, lo + |E| - 1], and the identity then gives lo = L.
+
+    The closing step is the last with weight dw > 0; after it ``rest`` is
+    0, so there |E| * L = w + dw * c exactly.  With g = gcd(dw, |E|) and
+    m = |E| / g this has an integer L only if g divides w, and then only
+    for c = -(w/g) * (dw/g)^-1 mod m.  So a node at the closing step
+    returns at once when g does not divide w, and otherwise masks its
+    candidates with ``comb`` shifted up by that residue, ``comb`` having
+    bits 0, m, 2m, ... up to |V|+|E| (``_Plan.sieve``, built once per plan
+    from dw, |E| and |V|+|E|).  A label that passes the mask still needs
+    L = nw / |E| in [nhi - |E| + 1, nlo], and then the final sums are
+    exactly [L, L + |E| - 1], so ``fsum`` is cut to that window.
+
+    The leaves after the closing step need no sum check.  They weigh
+    nothing, so w stays |E| * L.  A leaf closes one edge, whose sum comes
+    from ``fsum``, inside [L, L + |E| - 1]; the sums placed before it lie
+    there too.  So nlo >= L and nhi - |E| + 1 <= L at every leaf, and |E|
+    divides w: the exact check, which asked no more, would pass every
+    candidate ``cand`` offers.  When the root is the closing step, in a
+    star, whose centre alone has weight, or in K2, where nothing weighs,
+    the root loop keeps only the labels for which |E| divides w and makes
+    the same cut.
 
     Dead-label check: every final sum lies in [A, B] = [nhi - span,
     nlo + span], and every free label x will sit on an edge whose other end
@@ -610,7 +649,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     total = n + e
     leaves = _Leaves(graph, plan, limit, canonical_only)
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
-    klo, khi = _k_window(graph, pool)
+    klo, khi = _k_window(graph, pool, plan.weights)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
     if klo > khi:
@@ -630,6 +669,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     base = b + e
     # w before any vertex is placed, see the sum check
     w0 = sum(pool) - e * span // 2
+    g, m, inverse, comb = plan.sieve
 
     def place(i, free, fsum, lo, hi, w):
         if i == n:
@@ -637,6 +677,10 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         v, u0, more, below, dw, rest = steps[i]
         lu0 = labels[u0]
         cand = free & (fsum >> lu0) & -(2 << labels[below])
+        if dw and not rest:  # the closing step: |E| must divide w + dw * c
+            if w % g:
+                return True
+            cand &= comb << (-(w // g) * inverse % m)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -688,8 +732,11 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                     if (e * nlo - nw < rest * ((nfree & -nfree).bit_length() - 1)
                             or e * (nhi - span) - nw > rest * (nfree.bit_length() - 1)):
                         continue
-                elif nw % e or not e * (nhi - span) <= nw <= e * nlo:
-                    continue
+                elif dw:  # the closing step: nw fixes L, the least final sum
+                    least = nw // e
+                    if not nhi - span <= least <= nlo:
+                        continue
+                    nfsum &= ((2 << (least + span2)) - (1 << (least + span))) >> span
                 labels[v] = c
                 if not place(i + 1, nfree, nfsum, nlo, nhi, nw):
                     return False  # the search is over
@@ -697,10 +744,16 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
     # the root closes no edge and no twin of it is labeled yet; (top+1, -1)
     # is the empty sum range
-    root, _, _, _, dw, _ = steps[0]
+    root, _, _, _, dw, rest = steps[0]
     for c in pool:
+        nw, fsum = w0 + dw * c, fsum0
+        if not rest:  # the root is the closing step: a star, or K2
+            if nw % e:
+                continue
+            least = nw // e
+            fsum &= ((2 << (least + span2)) - (1 << (least + span))) >> span
         labels[root] = c
-        if not place(1, free0 ^ (1 << c), fsum0, top + 1, -1, w0 + dw * c):
+        if not place(1, free0 ^ (1 << c), fsum, top + 1, -1, nw):
             break
     place = None  # the closure refers to itself: let the search state go now
     return leaves.report(b)
@@ -732,21 +785,28 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     |E| * k - T less the placed vertices' share, so the unplaced vertices,
     whose labels are distinct free labels, must make up exactly r: a label
     that leaves r outside ``rest`` (see ``_plan``) times the lowest and the
-    highest free label is dropped, and r must be 0 once ``rest`` is 0.
-    Like the consecutive engine's checks, it uses only the degree-sum
-    identity and that labels are distinct.
+    highest free label is dropped.  At the closing step, the last with
+    weight dw > 0, ``rest`` is 0, so r - dw * c must be 0: the candidates
+    are masked to the one label r / dw when dw divides r and r >= 0 (r can
+    be negative only just after the root, which takes no bounds check), and
+    the node returns at once otherwise.  The leaves after it weigh nothing,
+    so r stays 0 and they need no check.  When the root is the closing step,
+    in a star, whose centre alone has weight, or in K2, where nothing
+    weighs, the root loop keeps only the labels that leave r = 0.  Like the
+    consecutive engine's checks, it uses only the degree-sum identity and
+    that labels are distinct.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
     if e == 0:
         return SearchReport((), frozenset(), True, 0)
     pool = list(range(1, total + 1))
-    klo, khi = _k_window(graph, pool)
+    plan = _plan(graph)
+    steps = plan.steps
+    klo, khi = _k_window(graph, pool, plan.weights)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
-    plan = _plan(graph)
-    steps = plan.steps
     leaves = _Leaves(graph, plan, limit, canonical_only)
 
     # bits 1..total: every label free, in both orientations
@@ -761,6 +821,10 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
         s = k - labels[u0]  # c plus the forced edge label
         sh = mirror - s
         cand = free & (rfree >> sh if sh >= 0 else rfree << -sh) & -(2 << labels[below])
+        if dw and not rest:  # the closing step: only c = r / dw leaves r - dw * c = 0
+            if r < 0 or r % dw:
+                return True
+            cand &= 1 << r // dw
         if cand and not s & 1:
             cand &= ~(1 << (s >> 1))  # the edge label would equal c
         while cand:
@@ -778,23 +842,23 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
                 nrfree ^= 1 << (mirror - x)
             else:
                 nr = r - dw * c
-                if rest:
-                    if (nr < rest * ((nfree & -nfree).bit_length() - 1)
-                            or nr > rest * (nfree.bit_length() - 1)):
-                        continue
-                elif nr:
+                if rest and (nr < rest * ((nfree & -nfree).bit_length() - 1)
+                             or nr > rest * (nfree.bit_length() - 1)):
                     continue
                 labels[v] = c
                 if not place(i + 1, nfree, nrfree, nr):
                     return False
         return True
 
-    root, _, _, _, dw, _ = steps[0]
+    root, _, _, _, dw, rest = steps[0]
     t = total * (total + 1) // 2
     for k in ks:
         for c in pool:
+            r = e * k - t - dw * c
+            if r and not rest:  # the root is the closing step: a star, or K2
+                continue
             labels[root] = c
-            if not place(1, free0 ^ (1 << c), rfree0 ^ (1 << (mirror - c)), e * k - t - dw * c):
+            if not place(1, free0 ^ (1 << c), rfree0 ^ (1 << (mirror - c)), r):
                 break
         if leaves.full:
             break

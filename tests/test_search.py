@@ -1,9 +1,10 @@
 """The exhaustive search oracle: enumeration, symmetry, budgets."""
 
 import gc
+import sys
 import time
 from itertools import islice, permutations
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -507,6 +508,102 @@ def test_backtracker_matches_brute_force(handle):
         assert got == _brute_force_consecutive(g, b)
 
 
+def _place_calls(run):
+    """Run ``run()`` and return its result and the (i, w) arguments of every
+    call it makes to the consecutive engine's ``place``: one per DFS node
+    below the root, counted by a profile hook."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname == "_enumerate_consecutive.<locals>.place":
+            calls.append((frame.f_locals["i"], frame.f_locals["w"]))
+
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+# DFS nodes of the full search at b = 0..|V|; no root here is the closing step
+PLACE_CALLS = [
+    ("P10", build_path(10), [16232, 177, 47, 75, 1024, 3454, 1076, 69, 33, 145, 16232]),
+    ("L4", build_lobster(4), [690, 68, 61, 147, 186, 187, 147, 61, 68, 690]),
+    ("C9", build_cycle(9), [1430, 42, 17, 30, 161, 182, 33, 15, 25, 1430]),
+    ("CS4;2,2,2,0", build_caterpillar(CaterpillarSpec(4, (2, 2, 2, 0))),
+     [4298, 84, 59, 66, 256, 476, 256, 66, 59, 84, 4298]),
+    ("DS2,3", build_double_star(2, 3), [153, 11, 22, 53, 53, 22, 11, 153]),
+]
+
+
+@pytest.mark.parametrize("handle, nodes", [row[1:] for row in PLACE_CALLS],
+                         ids=[row[0] for row in PLACE_CALLS])
+def test_consecutive_search_tree_is_pinned(handle, nodes):
+    """The DFS visits exactly these many nodes at each offset: the counts
+    of an exact sum check on every candidate of the closing step and of
+    each leaf after it.
+
+    The closing step's sieve and window cut keep the same candidates as
+    that check, and the leaves after it, unchecked, are offered only what
+    it kept.  A loosened prune costs nodes and changes no labeling, so only
+    a pin on the node count sees it.
+    """
+    g = handle.graph
+    assert [len(_place_calls(lambda: find_consecutive(SearchQuery(g, b=b)))[1])
+            for b in range(g.vertex_count + 1)] == nodes
+
+
+def _labeling_set(report):
+    return {(lab.vertex_labels, lab.edge_labels) for lab in report.labelings}
+
+
+@pytest.mark.parametrize("graph, offsets", [
+    (build_complete_bipartite(2, 3).graph, range(6)),
+    (Graph(6, ((0, 3), (0, 4), (1, 4), (2, 4), (3, 4), (3, 5))), (0, 1)),
+], ids=["K2,3", "triangle-with-three-pendants"])
+def test_closing_step_returns_at_once_when_g_does_not_divide_w(graph, offsets):
+    """At the closing step |E| * L = w + dw * c needs g = gcd(dw, |E|) to
+    divide w.  On these graphs g > 1 and the DFS reaches the closing step
+    with w not divisible by g, where it returns at once; it still finds
+    every labeling the brute force finds (24 at b = 0 on the second)."""
+    plan = _plan(graph)
+    closing = max(i for i, step in enumerate(plan.steps) if step[4])
+    g = gcd(plan.steps[closing][4], graph.edge_count)
+    assert g > 1
+    refused = 0
+    for b in offsets:
+        report, calls = _place_calls(lambda: find_consecutive(SearchQuery(graph, b=b)))
+        refused += sum(i == closing and w % g != 0 for i, w in calls)
+        assert _labeling_set(report) == _brute_force_consecutive(graph, b)
+    assert refused
+
+
+@pytest.mark.parametrize("handle, nodes", [
+    (build_path(2), [3, 3, 3]), (build_star(2), [8, 5, 5, 8]),
+    (build_star(3), [16, 9, 4, 9, 16]), (build_star(4), [32, 17, 5, 5, 17, 32]),
+], ids=["K2", "K1,2", "K1,3", "K1,4"])
+def test_a_root_that_closes_the_degree_sum_sieves_its_own_labels(handle, nodes):
+    """In a star the root is the only vertex with weight, and in K2 no
+    vertex has any, so the root is the closing step: the root loop sieves
+    its labels and cuts the sum window itself, and the leaves run
+    unchecked.  Both engines still find every labeling the brute force
+    finds, at every offset.  The DFS node counts are pinned: the sieve
+    drops the root labels no labeling can follow (trying every root label
+    visits 35, 20, 8, 8, 20, 35 nodes on K1,4), and without the window cut
+    the unchecked leaves would add nodes."""
+    g = handle.graph
+    assert not _plan(g).steps[0][5]  # nothing weighs after the root
+    counts = []
+    for b in range(g.vertex_count + 1):
+        report, calls = _place_calls(lambda: find_consecutive(SearchQuery(g, b=b)))
+        assert _labeling_set(report) == _brute_force_consecutive(g, b)
+        counts.append(len(calls))
+    assert counts == nodes
+    assert _labeling_set(find_edge_magic(SearchQuery(g))) == \
+        {(vl, el) for vl, el, _ in _brute_force_edge_magic(g)}
+
+
 def _sum_window_scan(graph, b):
     """Reference vertex labelings at offset b: every pool permutation whose edge
     sums are distinct and span |E| - 1.
@@ -988,7 +1085,7 @@ def test_k_window_holds_every_constant_and_both_ends_are_attained():
             pool = [*range(1, b + 1), *range(b + e + 1, n + e + 1)]
             searches.append((pool, find_consecutive(SearchQuery(g, b=b))))
         for labels, report in searches:
-            klo, khi = _k_window(g, list(labels))
+            klo, khi = _k_window(g, list(labels), _plan(g).weights)
             assert all(klo <= k <= khi for k in report.constants_found)
             low_hits += klo in report.constants_found
             high_hits += khi in report.constants_found
