@@ -24,7 +24,7 @@ FAIL = "fail"
 OUT_OF_BUDGET = "out-of-budget"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremReport:
     theorem_id: str
     graph_description: str
@@ -44,7 +44,7 @@ class TheoremReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantFormWitness:
     """Expression of a candidate magic constant as d*t + 6 with d = gcd(m, n)."""
 

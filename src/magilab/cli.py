@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -28,6 +29,41 @@ class CliError(Exception):
     """Bad input surfaced with a message and exit code 2."""
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The integer ``text`` spells: an optional sign and ASCII digits only.
+
+    ``int()`` also takes ``1_0``, surrounding whitespace and non-ASCII
+    digits such as ``٣``; those raise ValueError here, so no input is
+    silently read as a number it does not spell.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its refusal: "invalid int value"
+
+
+class _DuplicateKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key: ``json`` would
+    keep its last value without a word."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(f"duplicate key {key!r}")
+            seen.add(key)
+    return record
+
+
 def _env_budget(explicit: Optional[int]) -> Optional[int]:
     if explicit is not None:
         if explicit < 1:
@@ -37,7 +73,7 @@ def _env_budget(explicit: Optional[int]) -> Optional[int]:
     if raw is None:
         return None
     try:
-        budget = int(raw)
+        budget = _int(raw)
     except ValueError:
         raise CliError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
     if budget < 1:
@@ -47,7 +83,7 @@ def _env_budget(explicit: Optional[int]) -> Optional[int]:
 
 def _parse_spine(text: str) -> CaterpillarSpec:
     try:
-        counts = tuple(int(part) for part in text.split(","))
+        counts = tuple(map(_int, text.split(",")))
     except ValueError:
         raise CliError(f"malformed spine spec {text!r}; expected comma-separated integers")
     return CaterpillarSpec(len(counts), counts)
@@ -56,10 +92,10 @@ def _parse_spine(text: str) -> CaterpillarSpec:
 def _read_json(path: str) -> object:
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, json.JSONDecodeError, _DuplicateKey) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}")
 
 
@@ -196,7 +232,7 @@ def _cmd_search(args) -> int:
         b = None
         if args.b is not None:
             try:
-                b = int(args.b)
+                b = _int(args.b)
             except ValueError:
                 raise CliError(f"--b expects an integer or 'all', got {args.b!r}")
         query = search.SearchQuery(graph, b=b, magic_constant=args.k, limit=args.limit,
@@ -268,24 +304,24 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--spine", required=True, help="comma-separated leaf counts, e.g. 2,1,2")
     add_common(g, build=lambda a: build_caterpillar(_parse_spine(a.spine)))
     g = gensub.add_parser("double-star")
-    g.add_argument("m", type=int)
-    g.add_argument("n", type=int)
+    g.add_argument("m", type=_int)
+    g.add_argument("n", type=_int)
     add_common(g, build=lambda a: build_double_star(a.m, a.n))
     g = gensub.add_parser("lobster")
-    g.add_argument("-p", type=int, required=True, help="number of legs")
+    g.add_argument("-p", type=_int, required=True, help="number of legs")
     add_common(g, build=lambda a: build_lobster(a.p))
     g = gensub.add_parser("cycle")
-    g.add_argument("-l", "--length", type=int, required=True)
+    g.add_argument("-l", "--length", type=_int, required=True)
     add_common(g, build=lambda a: build_cycle(a.length))
     g = gensub.add_parser("path")
-    g.add_argument("-n", type=int, required=True, help="number of vertices")
+    g.add_argument("-n", type=_int, required=True, help="number of vertices")
     add_common(g, build=lambda a: build_path(a.n))
     g = gensub.add_parser("star")
-    g.add_argument("-p", type=int, required=True, help="number of leaves")
+    g.add_argument("-p", type=_int, required=True, help="number of leaves")
     add_common(g, build=lambda a: build_star(a.p))
     g = gensub.add_parser("kmn")
-    g.add_argument("m", type=int)
-    g.add_argument("n", type=int)
+    g.add_argument("m", type=_int)
+    g.add_argument("n", type=_int)
     add_common(g, build=lambda a: build_complete_bipartite(a.m, a.n))
     p.set_defaults(func=_cmd_gen)
 
@@ -304,9 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--spine", required=True)
     add_common(c, build=caterpillar_construct("caterpillar_super_labeling"))
     c = consub.add_parser("double-star")
-    c.add_argument("m", type=int)
-    c.add_argument("n", type=int)
-    c.add_argument("--variant", type=int, choices=(1, 2), default=1)
+    c.add_argument("m", type=_int)
+    c.add_argument("n", type=_int)
+    c.add_argument("--variant", type=_int, choices=(1, 2), default=1)
     add_common(c, build=lambda a: (build_double_star(a.m, a.n),
                                    constructions.double_star_consecutive(a.m, a.n, a.variant)))
     p.set_defaults(func=_cmd_construct)
@@ -328,11 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON file ('-' for stdin)")
     p.add_argument("--b", default=None,
                    help="block offset, or 'all' for the feasible set; omit for edge-magic")
-    p.add_argument("--k", type=int, default=None, help="restrict to one magic constant")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--k", type=_int, default=None, help="restrict to one magic constant")
+    p.add_argument("--limit", type=_int, default=None)
     p.add_argument("--canonical", action="store_true",
                    help="break label symmetry between twin vertices")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_int, default=None,
                    help=f"label-count budget (default {search.DEFAULT_BUDGET}, "
                         f"env {_BUDGET_ENV})")
     p.add_argument("-o", "--out", default=None)
@@ -341,17 +377,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="constant-form analysis")
     ansub = p.add_subparsers(dest="analysis", required=True)
     a = ansub.add_parser("constant-form")
-    a.add_argument("m", type=int)
-    a.add_argument("n", type=int)
-    a.add_argument("k", type=int)
+    a.add_argument("m", type=_int)
+    a.add_argument("n", type=_int)
+    a.add_argument("k", type=_int)
     a.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("suite", help="run a theorem verification suite")
     p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--max-labels", type=int, default=19,
+    p.add_argument("--max-labels", type=_int, default=19,
                    help="caterpillar suite size cap on |V|+|E|")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int, default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_suite)

@@ -30,12 +30,21 @@ def _unchecked(cls, **fields):
     normal form ``__post_init__`` would give them (tuples, sorted edges,
     exact ints); anything from outside goes through the constructor or a
     ``from_dict``, which check it.  Each field is set as ``__post_init__``
-    sets one, with ``object.__setattr__``: writing ``obj.__dict__`` instead
-    would give every instance a dictionary of its own, about 190 bytes more.
+    sets one, with ``object.__setattr__``, which fills a slot or an
+    instance dictionary alike.
+
+    The value classes are slotted (``Bipartition``, ``FamilyHandle``, the
+    labelings and their verdict, the search's query and report, the
+    analysis rows): an instance holds its fields and no dictionary, so a
+    labeling a search keeps costs its two tuples and 48 bytes.  ``Graph``
+    and ``CaterpillarSpec`` keep a dictionary, for their ``_cached``
+    values: a value there is found ahead of the non-data descriptor, while
+    a slot-backed cache would make every cached read (``own_bipartition``
+    in each ``classify``, ``adjacency`` in each plan) a Python-level call.
 
     A field may also be a ``_cached`` property of ``cls``, given the value
-    the property would compute: it is a non-data descriptor, so the value
-    set here is the one it reads back, and it computes nothing.
+    the property would compute: the value set here is the one it reads
+    back, and it computes nothing.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -223,7 +232,7 @@ class Graph:
         return cls(data["vertex_count"], data["edges"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
     """Ordered partite sets (X, Y); vertex 0 always sits in X.
 
@@ -303,7 +312,7 @@ class CaterpillarSpec:
         return self.vertex_count - self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyHandle:
     """A generated graph plus its structural identity.
 

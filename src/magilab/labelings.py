@@ -25,7 +25,7 @@ def _require_int_labels(labels: tuple) -> None:
         raise LabelingError(f"bad labeling record: label {bad!r} is not an integer")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TotalLabeling:
     """Vertex labels by vertex index, edge labels by canonical edge order."""
 
@@ -51,7 +51,9 @@ class TotalLabeling:
         outside goes through the constructor or :meth:`from_dict`, which
         check it.  This is :func:`magilab.graphs._unchecked` with its loop
         unrolled: a search builds one labeling per leaf kept, and the loop
-        costs about 0.4 us more per labeling.
+        costs about 0.4 us more per labeling.  The class is slotted, so what
+        a kept labeling holds beyond its two tuples is 48 bytes, with no
+        instance dictionary.
         """
         labeling = object.__new__(cls)
         object.__setattr__(labeling, "vertex_labels", vertex_labels)
@@ -71,7 +73,7 @@ class TotalLabeling:
         return cls(data["vertex_labels"], data["edge_labels"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexLabeling:
     """Distinct vertex labels drawn from 0..|E|, as used by graceful checks."""
 
@@ -86,7 +88,7 @@ class VertexLabeling:
         return {"vertex_labels": list(self.vertex_labels)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelingClassification:
     """Derived facts about one total labeling.
 

@@ -151,7 +151,7 @@ def _require_int(name: str, value, least: Optional[int] = None) -> None:
         raise SearchError(f"{name} must be at least {least}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchQuery:
     """What to search for.
 
@@ -189,7 +189,7 @@ class SearchQuery:
             raise SearchError(f"b={self.b} outside 0..{self.graph.vertex_count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchReport:
     """Outcome of one search; ``exhausted`` is False only when a limit cut it short.
 

@@ -411,6 +411,102 @@ def test_search_non_integer_offset_or_env_budget_exits_2(tmp_path, capsys, monke
     assert out == "" and err == "error: MAGILAB_BUDGET must be an integer, got 'abc'\n"
 
 
+# every integer the command line reads: its argv, with {} where the value
+# goes ({graph} is a P3 file; an "env" slot sets MAGILAB_BUDGET), and the
+# refusal a badly spelled value meets
+_INTEGER_SLOTS = {
+    "gen double-star m": (("gen", "double-star", "{}", "2"), "invalid int value"),
+    "gen double-star n": (("gen", "double-star", "2", "{}"), "invalid int value"),
+    "gen lobster -p": (("gen", "lobster", "-p", "{}"), "invalid int value"),
+    "gen cycle --length": (("gen", "cycle", "--length", "{}"), "invalid int value"),
+    "gen path -n": (("gen", "path", "-n", "{}"), "invalid int value"),
+    "gen star -p": (("gen", "star", "-p", "{}"), "invalid int value"),
+    "gen kmn m": (("gen", "kmn", "{}", "2"), "invalid int value"),
+    "gen kmn n": (("gen", "kmn", "2", "{}"), "invalid int value"),
+    "gen caterpillar --spine": (("gen", "caterpillar", "--spine", "1,{}"),
+                                "malformed spine spec"),
+    "construct caterpillar-beta --spine": (("construct", "caterpillar-beta", "--spine",
+                                            "{},1"), "malformed spine spec"),
+    "construct caterpillar-super --spine": (("construct", "caterpillar-super", "--spine",
+                                             "{}"), "malformed spine spec"),
+    "construct double-star m": (("construct", "double-star", "{}", "2"), "invalid int value"),
+    "construct double-star n": (("construct", "double-star", "2", "{}"), "invalid int value"),
+    "construct double-star --variant": (("construct", "double-star", "2", "2", "--variant",
+                                         "{}"), "invalid int value"),
+    "search --b": (("search", "--graph", "{graph}", "--b", "{}"),
+                   "--b expects an integer or 'all'"),
+    "search --k": (("search", "--graph", "{graph}", "--b", "1", "--k", "{}"),
+                   "invalid int value"),
+    "search --limit": (("search", "--graph", "{graph}", "--limit", "{}"), "invalid int value"),
+    "search --budget": (("search", "--graph", "{graph}", "--budget", "{}"),
+                        "invalid int value"),
+    "search MAGILAB_BUDGET": (("env", "search", "--graph", "{graph}", "--b", "1"),
+                              "MAGILAB_BUDGET must be an integer"),
+    "analyze constant-form m": (("analyze", "constant-form", "{}", "3", "9"),
+                                "invalid int value"),
+    "analyze constant-form n": (("analyze", "constant-form", "2", "{}", "9"),
+                                "invalid int value"),
+    "analyze constant-form k": (("analyze", "constant-form", "2", "3", "{}"),
+                                "invalid int value"),
+    "suite --max-labels": (("suite", "caterpillar", "--max-labels", "{}"), "invalid int value"),
+    "suite --budget": (("suite", "closing", "--budget", "{}"), "invalid int value"),
+    "suite MAGILAB_BUDGET": (("env", "suite", "closing"), "MAGILAB_BUDGET must be an integer"),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_INTEGER_SLOTS))
+def test_integers_are_read_strictly(slot, tmp_path, capsys, monkeypatch):
+    """An integer is an optional sign and ASCII digits: int() would also
+    read 1_0 as 10, ' 2' as 2 and an Arabic-Indic three as 3."""
+    template, refusal = _INTEGER_SLOTS[slot]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(build_path(3).to_dict()))
+
+    def call(value):
+        argv = [part.format(value, graph=graph) for part in template]
+        if argv[0] == "env":
+            monkeypatch.setenv("MAGILAB_BUDGET", value)
+            argv = argv[1:]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for value in ("1_0", " 2", "2 ", "\u0663", "+ 2", "2.0", ""):
+        code, out, err = call(value)
+        assert code == 2 and out == "" and refusal in err, (value, err)
+    # a sign is part of an integer: -1 reaches the range checks, if any
+    for value in ("-1", "+2"):
+        code, _, err = call(value)
+        assert code in (0, 1, 2) and refusal not in err, (value, err)
+
+
+def test_repeated_json_keys_are_refused(tmp_path, capsys, monkeypatch):
+    import io
+    import sys as _sys
+    graph = '{"vertex_count": 3, "edges": [[0, 1], [1, 2]], "vertex_count": 4}'
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph)
+    code, out, err = run(capsys, "search", "--graph", str(gpath), "--b", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read JSON from {gpath}: duplicate key 'vertex_count'\n"
+    # in a bundle, at any depth
+    bundle = ('{"graph": {"vertex_count": 2, "edges": [[0, 1]], "edges": [[0, 1]]}, '
+              '"labeling": {"vertex_labels": [1, 2], "edge_labels": [3]}}')
+    bpath = tmp_path / "bundle.json"
+    bpath.write_text(bundle)
+    code, out, err = run(capsys, "verify", str(bpath))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read JSON from {bpath}: duplicate key 'edges'\n"
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(
+        '{"vertex_count": 3, "edges": [[0, 1], [1, 2]], "edges": [[0, 1]]}'))
+    code, out, err = run(capsys, "search", "--graph", "-", "--b", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read JSON from -: duplicate key 'edges'\n"
+
+
 def test_search_single_offset_budget(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "lobster", "-p", "3", "-o", str(gpath))  # 13 labels

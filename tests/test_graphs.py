@@ -1,6 +1,9 @@
 """Graph containers, family generators, and structural checks."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import re
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -8,11 +11,14 @@ from itertools import combinations, permutations, product
 import pytest
 
 from magilab import graphs
+from magilab.analysis import TheoremReport, constant_form_check
 from magilab.graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, GraphError,
-                            bipartition_of, build_caterpillar,
+                            _unchecked, bipartition_of, build_caterpillar,
                             build_complete_bipartite, build_cycle,
                             build_double_star, build_lobster, build_path,
                             build_star, graph_from_dict, is_connected)
+from magilab.labelings import TotalLabeling, VertexLabeling, classify
+from magilab.search import SearchQuery, find_consecutive
 
 
 def test_edges_canonicalized():
@@ -250,7 +256,51 @@ def test_unchecked_builds_equal_the_checked_constructors():
         bip = handle.bipartition
         if bip is not None:
             assert Bipartition(bip.side_x, bip.side_y) == bip, handle.family
+            built = _unchecked(Bipartition, side_x=bip.side_x, side_y=bip.side_y)
+            assert built == bip and not hasattr(built, "__dict__"), handle.family
         assert bipartition_of(g) == bip, handle.family
+        built = _unchecked(FamilyHandle, graph=g, name_map=handle.name_map,
+                           family=handle.family)
+        assert built == checked and not hasattr(built, "__dict__"), handle.family
+        # so are the labelings a search or a closed form hands out
+        n, m = g.vertex_count, g.edge_count
+        vertex_labels, edge_labels = tuple(range(1, n + 1)), tuple(range(n + 1, n + m + 1))
+        built = TotalLabeling.trusted(vertex_labels, edge_labels)
+        assert built == TotalLabeling(list(vertex_labels), list(edge_labels))
+        assert not hasattr(built, "__dict__")
+        built = _unchecked(VertexLabeling, vertex_labels=tuple(range(n)))
+        assert built == VertexLabeling(list(range(n))) and not hasattr(built, "__dict__")
+
+
+# one instance of each slotted value class; Graph and CaterpillarSpec keep
+# an instance dictionary for their cached values
+_P3 = build_path(3)
+_SLOTTED = {
+    "TotalLabeling": lambda: TotalLabeling((1, 5, 2), (4, 3)),
+    "VertexLabeling": lambda: VertexLabeling((0, 2, 1)),
+    "LabelingClassification": lambda: classify(_P3.graph, TotalLabeling((1, 5, 2), (4, 3))),
+    "SearchQuery": lambda: SearchQuery(_P3.graph, b=1, limit=2),
+    "SearchReport": lambda: find_consecutive(SearchQuery(_P3.graph, b=1)),
+    "Bipartition": lambda: Bipartition({0, 2}, {1}),
+    "FamilyHandle": lambda: build_path(3),
+    "TheoremReport": lambda: TheoremReport("T", "P_3", {0, 1, 3}, {0, 1, 3}, "pass", "x"),
+    "ConstantFormWitness": lambda: constant_form_check(2, 3, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOTTED))
+def test_value_classes_are_slotted_and_frozen(name):
+    obj = _SLOTTED[name]()
+    assert type(obj).__name__ == name
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(obj, "extra", 1)  # no slot and no dictionary to hold it
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), dataclasses.replace(obj)):
+        assert type(twin) is type(obj) and twin == obj and twin is not obj
+        assert repr(twin) == repr(obj)
 
 
 def test_builders_hand_their_sides_to_the_graph(monkeypatch):
