@@ -35,22 +35,24 @@ labels, or the free differences and their mirror), passed down the
 recursion, so backtracking undoes nothing.  A vertex's candidate labels
 are one mask, visited lowest first.
 
-The two magic engines prune with an O(1) degree-weighted sum check per
-candidate label.  It uses sum over edges of (f(u) + f(v)) =
-sum of deg(v) * f(v): the placed vertices fix part of it, and the unplaced
-ones add sum of (deg - 1) * f, which lies between their total weight times
-the lowest and the highest free label.  Leaves weigh nothing, so with
-leaves last that share is exactly 0 once the last non-leaf is placed.
-That vertex, the last with weight, is the closing step: its label alone
-completes the sum, so there the check is one mask on the candidates,
-applied once per node rather than once per candidate.  In the edge-magic
-engine the mask is the one label the sum leaves; in the consecutive engine
-it is a residue class, and the free sums are cut to the one window of
-|E| sums the completed total allows.  After the closing step nothing
-weighs, so the leaves run with no sum check: whatever it could reject is
-already gone from their candidates.  The checks rest only on that
-identity, the sum window and labels (and sums) being distinct, which is
-the definition itself, so they grade nothing.
+Both magic engines check the degree-weighted label sum, from sum over
+edges of (f(u) + f(v)) = sum of deg(v) * f(v).  The placed vertices fix
+part of it, and the unplaced ones add sum of (deg - 1) * f.  Leaves weigh
+nothing, so with leaves last that share is exactly 0 once the last
+non-leaf is placed.  That vertex, the last with weight, is the closing
+step: its label alone completes the sum, so there the check is one mask on
+the candidates, applied once per node rather than once per candidate.  In
+the edge-magic engine the mask is the one label the sum leaves; in the
+consecutive engine it is a residue class, and the free sums are cut to the
+one window of |E| sums the completed total allows.  After the closing step
+nothing weighs, so the leaves run with no sum check: whatever it could
+reject is already gone from their candidates.  Only the edge-magic engine
+also checks the sum on every candidate before the closing step, where the
+unplaced share lies between its total weight times the lowest and the
+highest free label; the consecutive engine checks it at the closing step
+alone, where it is exact.  The checks rest only on that identity, the sum
+window and labels (and sums) being distinct, which is the definition
+itself, so they grade nothing.
 
 The consecutive engine also drops a branch as soon as a free label is dead,
 which refutes most absent offsets long before the leaves.  With the sums so
@@ -259,7 +261,7 @@ def _plan(graph: Graph) -> _Plan:
     and a central root keeps the BFS layers few, so a vertex and its mirror
     image sit close in the order and the symmetry bound of the later one
     prunes early: over every offset of P10, the full enumerations visit
-    38,564 DFS nodes from a middle root and 73,692 from a root next to an
+    38,820 DFS nodes from a middle root and 74,204 from a root next to an
     end.
 
     ``steps[i]`` is ``(v, u0, more, below, dw, rest)``: the vertex
@@ -599,12 +601,12 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     sum of deg(v) * f(v) = |E| * L + |E|(|E|-1)/2.  The vertices take
     exactly the pool, so |E| * L = w + (sum of (deg - 1) * f over the
     unplaced vertices), where ``w`` is sum(pool) - |E|(|E|-1)/2 plus the
-    placed vertices' sum of (deg - 1) * f.  L lies in [hi - |E| + 1, lo].
-    While ``rest`` (see ``_plan``) is positive, the unplaced share lies
-    between ``rest`` times the lowest and the highest free label, so a label
-    that leaves no L in range meeting those bounds is dropped.  The check
-    only prunes: at a leaf the |E| distinct sums, all within |E| - 1 of each
-    other, fill [lo, lo + |E| - 1], and the identity then gives lo = L.
+    placed vertices' sum of (deg - 1) * f.  Before the closing step the
+    unplaced share is still open, and the DFS does not bound it: a bound
+    there could only prune, and measured it cost more time than the nodes
+    it saved.  At a leaf the |E| distinct sums, all within |E| - 1 of each
+    other, fill [lo, lo + |E| - 1], so the identity, checked where it is
+    exact, gives lo = L.
 
     The closing step is the last with weight dw > 0; after it ``rest`` is
     0, so there |E| * L = w + dw * c exactly.  With g = gcd(dw, |E|) and
@@ -728,11 +730,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                     if nfree & dead:
                         continue
                 nw = w + dw * c
-                if rest:
-                    if (e * nlo - nw < rest * ((nfree & -nfree).bit_length() - 1)
-                            or e * (nhi - span) - nw > rest * (nfree.bit_length() - 1)):
-                        continue
-                elif dw:  # the closing step: nw fixes L, the least final sum
+                if dw and not rest:  # the closing step: nw fixes L, the least final sum
                     least = nw // e
                     if not nhi - span <= least <= nlo:
                         continue

@@ -275,6 +275,17 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert "cannot read JSON" in err
 
 
+@pytest.mark.parametrize("argv", [("search", "--graph", "{}", "--b", "1"), ("verify", "{}"),
+                                  ("transform", "dual", "{}")],
+                         ids=["search", "verify", "transform"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vertex_count": "\xff"}')
+    code, out, err = run(capsys, *[arg.format(path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read JSON from {path}: ")
+
+
 @pytest.mark.parametrize("text", ["5", "null", '"graph labeling"', '["graph", "labeling"]'])
 @pytest.mark.parametrize("argv", [("verify", "-"), ("transform", "dual", "-")])
 def test_bundle_that_is_not_an_object_exits_2(capsys, monkeypatch, argv, text):

@@ -508,15 +508,20 @@ def test_backtracker_matches_brute_force(handle):
         assert got == _brute_force_consecutive(g, b)
 
 
-def _place_calls(run):
+def _place_calls(run, engine="_enumerate_consecutive"):
     """Run ``run()`` and return its result and the (i, w) arguments of every
-    call it makes to the consecutive engine's ``place``: one per DFS node
-    below the root, counted by a profile hook."""
+    call it makes to the ``place`` of ``engine``: one per DFS node below the
+    root, counted by a profile hook.  w is ``place``'s last argument, the
+    degree-sum state (``w`` in the consecutive engine, ``r`` in the
+    edge-magic one)."""
     calls = []
+    qualname = f"{engine}.<locals>.place"
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code.co_qualname == "_enumerate_consecutive.<locals>.place":
-            calls.append((frame.f_locals["i"], frame.f_locals["w"]))
+        code = frame.f_code
+        if event == "call" and code.co_qualname == qualname:
+            last = code.co_varnames[code.co_argcount - 1]
+            calls.append((frame.f_locals["i"], frame.f_locals[last]))
 
     sys.setprofile(hook)
     try:
@@ -528,11 +533,11 @@ def _place_calls(run):
 
 # DFS nodes of the full search at b = 0..|V|; no root here is the closing step
 PLACE_CALLS = [
-    ("P10", build_path(10), [16232, 177, 47, 75, 1024, 3454, 1076, 69, 33, 145, 16232]),
-    ("L4", build_lobster(4), [690, 68, 61, 147, 186, 187, 147, 61, 68, 690]),
+    ("P10", build_path(10), [16350, 177, 47, 75, 1024, 3474, 1076, 69, 33, 145, 16350]),
+    ("L4", build_lobster(4), [766, 71, 75, 177, 186, 187, 177, 75, 71, 766]),
     ("C9", build_cycle(9), [1430, 42, 17, 30, 161, 182, 33, 15, 25, 1430]),
     ("CS4;2,2,2,0", build_caterpillar(CaterpillarSpec(4, (2, 2, 2, 0))),
-     [4298, 84, 59, 66, 256, 476, 256, 66, 59, 84, 4298]),
+     [4298, 89, 63, 67, 256, 476, 256, 67, 63, 89, 4298]),
     ("DS2,3", build_double_star(2, 3), [153, 11, 22, 53, 53, 22, 11, 153]),
 ]
 
@@ -541,17 +546,40 @@ PLACE_CALLS = [
                          ids=[row[0] for row in PLACE_CALLS])
 def test_consecutive_search_tree_is_pinned(handle, nodes):
     """The DFS visits exactly these many nodes at each offset: the counts
-    of an exact sum check on every candidate of the closing step and of
-    each leaf after it.
+    of a search that checks the degree sum only at the closing step, where
+    it is exact, and not on the candidates before it.
 
-    The closing step's sieve and window cut keep the same candidates as
-    that check, and the leaves after it, unchecked, are offered only what
-    it kept.  A loosened prune costs nodes and changes no labeling, so only
-    a pin on the node count sees it.
+    Before the closing step only the k window, the span mask and the
+    dead-label check prune; the closing step's sieve and window cut keep exactly the candidates an
+    exact sum check would keep, and the leaves after it, unchecked, are
+    offered only what it kept.  A loosened prune costs nodes and changes no
+    labeling, so only a pin on the node count sees it.
     """
     g = handle.graph
     assert [len(_place_calls(lambda: find_consecutive(SearchQuery(g, b=b)))[1])
             for b in range(g.vertex_count + 1)] == nodes
+
+
+# DFS nodes of the full edge-magic search, over every k of the window
+EDGE_MAGIC_CALLS = [
+    ("P6", build_path(6), 1277), ("C6", build_cycle(6), 2138),
+    ("K2,3", build_complete_bipartite(2, 3), 2447), ("L3", build_lobster(3), 3085),
+    ("DS2,3", build_double_star(2, 3), 3073),
+]
+
+
+@pytest.mark.parametrize("handle, nodes", [row[1:] for row in EDGE_MAGIC_CALLS],
+                         ids=[row[0] for row in EDGE_MAGIC_CALLS])
+def test_edge_magic_search_tree_is_pinned(handle, nodes):
+    """The edge-magic DFS visits exactly these many nodes: the counts of a
+    degree-sum check on every candidate before the closing step, the one
+    label that completes the sum at it, and no check on the leaves after
+    it.  As in the consecutive engine, a loosened prune costs nodes and
+    changes no labeling, so only a pin on the node count sees it."""
+    report, calls = _place_calls(lambda: find_edge_magic(SearchQuery(handle.graph)),
+                                 "_enumerate_edge_magic")
+    assert report.exhausted and report.labelings
+    assert len(calls) == nodes
 
 
 def _labeling_set(report):
@@ -1018,6 +1046,22 @@ def test_a_plan_and_the_first_coset_reps_do_not_list_r():
     first = list(islice(_r_and_t(plan)[0], 3))
     assert time.perf_counter() - start < 0.5
     assert first[0] == tuple(range(41)) and len(set(first)) == 3
+
+
+def test_colour_refinement_keeps_the_plan_of_a_spider_fast():
+    """A spider with ten legs of length 2 and one of length 3 (24 vertices).
+    Without colour refinement the class-map prefix searches of
+    ``_class_orbits`` grow factorially in the equal legs: the plan takes
+    about 1 ms with it and seconds without it."""
+    edges, n = [], 1
+    for length in [2] * 10 + [3]:
+        leg = [0, *range(n, n + length)]
+        edges += zip(leg, leg[1:])
+        n += length
+    start = time.perf_counter()
+    plan = _plan(Graph(n, edges))
+    assert time.perf_counter() - start < 0.5
+    assert n == 24 and plan.sym is not None
 
 
 @pytest.mark.parametrize("search", [lambda g: find_edge_magic(SearchQuery(g)),
