@@ -17,7 +17,8 @@ becomes a range of admissible sums, and no sum outside it is ever free.
 answers: complementing every label maps the consecutive labelings at b onto
 those at |V| - b (``constructions.dual``), so b and |V| - b are feasible
 together by definition.  The mirror grades no theorem, and each mirrored
-absent offset inherits the exhaustive search of its partner.
+absent offset inherits the certificate of its partner: the root check's
+refutation or an exhaustive search.
 
 Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
@@ -54,17 +55,21 @@ alone, where it is exact.  The checks rest only on that identity, the sum
 window and labels (and sums) being distinct, which is the definition
 itself, so they grade nothing.
 
-The consecutive engine also drops a branch as soon as a free label is dead,
-which refutes most absent offsets long before the leaves.  With the sums so
-far in [lo, hi], every final sum lies in [A, B] = [hi - |E| + 1, lo + |E| - 1].
-A free label x is dead when no pool label y gives A <= x + y <= B, and that
-branch has no labeling below it:
+The consecutive engine also drops a branch as soon as a free label is dead.
+With the sums so far in [lo, hi], every final sum lies in
+[A, B] = [hi - |E| + 1, lo + |E| - 1].  A free label x is dead when no pool
+label y gives A <= x + y <= B, and that branch has no labeling below it:
   - the pool holds exactly |V| labels, so x goes to some unplaced vertex;
   - that vertex has an edge, whose other end gets some pool label y;
   - the edge's sum x + y is one of the final sums, so it lies in [A, B].
 x is dead when x >= B (then y < 1) or x < A - max(pool) (then y would
-exceed the highest pool label).  Like the other checks it uses only the
-definition.
+exceed the highest pool label).  Before the DFS starts, the same argument
+runs at the root for every lowest final sum L the k window allows, with
+the exact window [L, L + |E| - 1] and the exact pool, and it also asks
+that every sum in the window be the sum of two distinct pool labels.  When
+no L passes, the offset is absent and no DFS runs; that root check, not
+the DFS, refutes most absent offsets.  Like the other checks it uses only
+the definition.
 
 Both magic engines break every automorphism of the graph and expand each
 labeling they reach into its orbit (Puget, "Breaking symmetries in all
@@ -531,6 +536,34 @@ def _k_window(graph: Graph, labels: list[int], weights: list[int]):
     return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
 
 
+def _root_lows(pool: list[int], e: int, lo: int, hi: int) -> int:
+    """The lowest final sums L in lo..hi that pass the root check, as a bit set.
+
+    A labeling whose final sums fill [L, L + |E| - 1] passes two tests.  The
+    window test: every sum in the window is x + y for distinct pool labels.
+    The partner test: every pool label x has some y != x in the pool with
+    x + y in the window.  ``_enumerate_consecutive`` has the proof.  ``sums``
+    is the set of the x + y, and ``near`` x's partner sums smeared down by
+    |E| - 1, so bit L of it is set when one of them lies in [L, L + |E| - 1].
+    """
+    pm = sum([1 << x for x in pool])
+    lows = (2 << hi) - (1 << lo) if lo <= hi else 0
+    sums = 0
+    for x in pool:
+        near = (pm ^ 1 << x) << x
+        sums |= near
+        k = 1
+        while 2 * k <= e:
+            near |= near >> k
+            k *= 2
+        lows &= near | near >> (e - k)
+    k = 1
+    while 2 * k <= e:
+        sums &= sums >> k
+        k *= 2
+    return lows & sums & sums >> (e - k)
+
+
 class _Leaves:
     """The one result path of both magic engines: the DFS hands ``take`` each
     leaf it reaches, a vertex labeling and its constant k.
@@ -644,6 +677,22 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     atlas graph with at most 16 labels, that label was never free when the
     other two ranges let the branch through.
 
+    Root check: before the root loop, ``_root_lows`` keeps the lowest final
+    sums L that two tests leave, and when none is left the offset has no
+    labeling and the empty, exhausted report returns at once.  Take a
+    labeling at offset b with lowest sum L.  Its constant k lies in the
+    window, so L = k - b - |E| lies in [slo, shi - |E| + 1] (no sum exceeds
+    ``top``, the two highest pool labels), which is empty when the window
+    is.  Its sums fill [L, L + |E| - 1], and each is f(u) + f(v) on an
+    edge: two distinct pool labels (the window test).  The pool holds
+    exactly |V| labels, so every pool label x sits on some vertex; that
+    vertex has an edge, the graph being connected with an edge, and the
+    label y at its other end is another pool label, with x + y one of the
+    sums, in [L, L + |E| - 1] (the partner test).  So no L that fails a
+    test is the lowest sum of a labeling.  This is the dead-label check run
+    for every L at once, before any sum is fixed.  It either returns or
+    changes nothing, so at an offset it leaves open the DFS is the same.
+
     These checks use only the degree-sum identity, that labels and sums are
     distinct and the sum window, never a theorem the search grades.
     """
@@ -654,13 +703,13 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     klo, khi = _k_window(graph, pool, plan.weights)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
-    if klo > khi:
-        return leaves.report(b)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
     top_label = pool[-1]
     top = top_label + pool[-2]
     slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
+    if not _root_lows(pool, e, slo, shi - e + 1):
+        return leaves.report(b)
     free0 = sum(1 << c for c in pool)
     fsum0 = (2 << shi) - (1 << slo)
 
@@ -915,10 +964,11 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     every label, z -> |V|+|E|+1-z (``constructions.dual``), maps the
     consecutive labelings at b one-to-one onto those at |V| - b, so the two
     offsets are feasible together.  Each searched offset stops at its first
-    witness labeling.  One without one is searched to exhaustion (with every
-    automorphism broken, which cannot change satisfiability), so it is
-    certified absent, and the bijection carries that certificate to its
-    mirror.  One placement plan serves every offset.
+    witness labeling.  One without one is certified absent, either by the
+    root check of ``_enumerate_consecutive``, which leaves no lowest sum,
+    or by a DFS searched to exhaustion (with every automorphism broken,
+    which cannot change satisfiability), and the bijection carries that
+    certificate to its mirror.  One placement plan serves every offset.
     """
     _admit(graph, budget)
     if graph.edge_count == 0:

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import magilab.search as search_module
 from magilab.constructions import dual
 from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
                             build_complete_bipartite, build_cycle,
@@ -533,12 +534,12 @@ def _place_calls(run, engine="_enumerate_consecutive"):
 
 # DFS nodes of the full search at b = 0..|V|; no root here is the closing step
 PLACE_CALLS = [
-    ("P10", build_path(10), [16350, 177, 47, 75, 1024, 3474, 1076, 69, 33, 145, 16350]),
-    ("L4", build_lobster(4), [766, 71, 75, 177, 186, 187, 177, 75, 71, 766]),
-    ("C9", build_cycle(9), [1430, 42, 17, 30, 161, 182, 33, 15, 25, 1430]),
+    ("P10", build_path(10), [16350, 0, 0, 0, 0, 3474, 0, 0, 0, 0, 16350]),
+    ("L4", build_lobster(4), [766, 0, 0, 177, 186, 187, 177, 0, 0, 766]),
+    ("C9", build_cycle(9), [1430, 0, 0, 0, 0, 0, 0, 0, 0, 1430]),
     ("CS4;2,2,2,0", build_caterpillar(CaterpillarSpec(4, (2, 2, 2, 0))),
-     [4298, 89, 63, 67, 256, 476, 256, 67, 63, 89, 4298]),
-    ("DS2,3", build_double_star(2, 3), [153, 11, 22, 53, 53, 22, 11, 153]),
+     [4298, 0, 0, 67, 256, 476, 256, 67, 0, 0, 4298]),
+    ("DS2,3", build_double_star(2, 3), [153, 0, 22, 53, 53, 22, 0, 153]),
 ]
 
 
@@ -549,15 +550,51 @@ def test_consecutive_search_tree_is_pinned(handle, nodes):
     of a search that checks the degree sum only at the closing step, where
     it is exact, and not on the candidates before it.
 
-    Before the closing step only the k window, the span mask and the
-    dead-label check prune; the closing step's sieve and window cut keep exactly the candidates an
-    exact sum check would keep, and the leaves after it, unchecked, are
-    offered only what it kept.  A loosened prune costs nodes and changes no
-    labeling, so only a pin on the node count sees it.
+    An offset the root check (``_root_lows``) refutes runs no DFS, so it
+    visits 0 nodes; every such offset here is one the full DFS finds
+    absent.  Before the closing step only the k window, the span mask and
+    the dead-label check prune; the closing step's sieve and window cut
+    keep exactly the candidates an exact sum check would keep, and the
+    leaves after it, unchecked, are offered only what it kept.  A loosened
+    prune costs nodes and changes no labeling, so only a pin on the node
+    count sees it.
     """
     g = handle.graph
     assert [len(_place_calls(lambda: find_consecutive(SearchQuery(g, b=b)))[1])
             for b in range(g.vertex_count + 1)] == nodes
+
+
+def test_root_check_never_refutes_a_feasible_offset(monkeypatch):
+    """The root check refutes only offsets with no labeling.  The reference
+    is the same search with ``_root_lows`` passing every L in its range,
+    which runs the full DFS whenever the k window leaves some L; the
+    check's own verdict is recorded on the way.  Over the connected atlas
+    graphs with at most 6 vertices and the free trees with 7 to 9, it
+    refutes exactly 990 of the 1,249 absent offsets, so a check that
+    stops refuting fails here too."""
+    graphs = [g for g in _connected_atlas(6) if g.edge_count] + [
+        t for t in _small_trees(9) if t.vertex_count > 6]
+    lows = search_module._root_lows
+    verdicts = []
+    monkeypatch.setattr(search_module, "_root_lows", lambda pool, e, lo, hi:
+                        verdicts.append(lows(pool, e, lo, hi)) or lo <= hi)
+    refuted = absent = 0
+    for g in graphs:
+        for b in range(g.vertex_count + 1):
+            verdicts.clear()
+            report = find_consecutive(SearchQuery(g, b=b, limit=1, canonical_only=True))
+            absent += not report.labelings
+            if not verdicts[0]:
+                assert not report.labelings, (g, b)
+                refuted += 1
+    assert (refuted, absent) == (990, 1249)
+
+
+@pytest.mark.parametrize("n", range(9, 22, 2))
+def test_odd_cycles_have_only_the_extreme_offsets(n):
+    """The root check refutes every inner offset of an odd cycle, so even
+    C21, whose inner offsets took the DFS minutes, answers at once."""
+    assert feasible_b_set(build_cycle(n).graph, budget=2 * n) == {0, n}
 
 
 # DFS nodes of the full edge-magic search, over every k of the window
