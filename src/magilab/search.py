@@ -69,7 +69,9 @@ the exact window [L, L + |E| - 1] and the exact pool, and it also asks
 that every sum in the window be the sum of two distinct pool labels.  When
 no L passes, the offset is absent and no DFS runs; that root check, not
 the DFS, refutes most absent offsets.  Like the other checks it uses only
-the definition.
+the definition.  It reads only the pool and the degrees, so the consecutive
+engine builds the placement plan only after the root check leaves the
+offset open: a refuted offset costs no plan.
 
 Both magic engines break every automorphism of the graph and expand each
 labeling they reach into its orbit (Puget, "Breaking symmetries in all
@@ -126,10 +128,11 @@ which makes output independent of the internal iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice, starmap, tee
 from math import gcd
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from operator import itemgetter, mul
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import Graph, _bfs, is_connected
 from .labelings import TotalLabeling, VertexLabeling
@@ -237,7 +240,6 @@ class _Plan(NamedTuple):
     steps: list
     groups: list  # the twin classes, numbered by first placement, each ascending
     sym: Optional[tuple]  # what _class_maps lists R from; None when R is the identity
-    weights: list  # deg(v) - 1 of every vertex, largest first (see _k_window)
     sieve: Optional[tuple]  # (g, m, inverse, comb) of the closing step; None with no edge
 
 
@@ -340,7 +342,7 @@ def _plan(graph: Graph) -> _Plan:
         m = e // g
         comb = ((1 << m * (graph.label_count // m + 1)) - 1) // ((1 << m) - 1)
         sieve = (g, m, pow(dw // g, -1, m), comb)
-    return _Plan(steps, groups, sym, sorted([d - 1 for d in degree], reverse=True), sieve)
+    return _Plan(steps, groups, sym, sieve)
 
 
 def _centre(graph: Graph, degree) -> tuple[list[int], list[int]]:
@@ -518,6 +520,11 @@ def _orbit(graph: Graph, plan: _Plan, canonical_only: bool):
     return members
 
 
+def _weights(graph: Graph) -> list[int]:
+    """deg(v) - 1 of every vertex, largest first: the weights of ``_k_window``."""
+    return sorted([len(nbrs) - 1 for nbrs in graph.adjacency], reverse=True)
+
+
 def _k_window(graph: Graph, labels: list[int], weights: list[int]):
     """Integer window of conceivable magic constants.
 
@@ -528,11 +535,12 @@ def _k_window(graph: Graph, labels: list[int], weights: list[int]):
     edge, so pairing the weights, largest first, with ``labels`` ascending
     bounds the second term from below, and with ``labels`` descending from
     above.  Consecutive searches pass their vertex pool, edge-magic ones
-    1..|V|+|E|.
+    1..|V|+|E|.  ``weights`` is ``_weights(graph)``: the degrees alone, so
+    the window needs no placement plan.
     """
     t = graph.label_count * (graph.label_count + 1) // 2
-    low = sum(w * x for w, x in zip(weights, labels))
-    high = sum(w * x for w, x in zip(weights, reversed(labels)))
+    low = sum(map(mul, weights, labels))
+    high = sum(map(mul, weights, reversed(labels)))
     return -(-(t + low) // graph.edge_count), (t + high) // graph.edge_count
 
 
@@ -605,12 +613,15 @@ class _Leaves:
 
 
 def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
-                           limit: Optional[int], plan: _Plan,
-                           canonical_only: bool) -> SearchReport:
+                           limit: Optional[int], weights: list[int],
+                           get_plan: Callable[[], _Plan], canonical_only: bool) -> SearchReport:
     """Sum-window DFS: every consecutive labeling at offset b, with no loop over k.
 
-    The graph needs an edge.  ``plan`` is the caller's ``_plan`` of it (a
-    sweep over offsets builds it once).  The DFS reaches one labeling per
+    The graph needs an edge.  ``weights`` is its ``_weights``, and
+    ``get_plan()`` hands back its ``_plan``, called only when the root check
+    (below) leaves the offset open, so a refuted offset builds no plan; a
+    sweep over offsets works the weights out once and passes a getter that
+    builds the plan once and keeps it.  The DFS reaches one labeling per
     orbit, and ``_Leaves`` expands and counts it.
 
     Vertex labels come from the pool 1..b, b+|E|+1..|V|+|E|, so edge labels
@@ -692,15 +703,16 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     test is the lowest sum of a labeling.  This is the dead-label check run
     for every L at once, before any sum is fixed.  It either returns or
     changes nothing, so at an offset it leaves open the DFS is the same.
+    It needs only the pool and the degrees, so it runs before the plan is
+    built, and a refuted offset costs no plan and no ``_Leaves``.
 
     These checks use only the degree-sum identity, that labels and sums are
     distinct and the sum window, never a theorem the search grades.
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
-    leaves = _Leaves(graph, plan, limit, canonical_only)
     pool = list(range(1, b + 1)) + list(range(b + e + 1, total + 1))
-    klo, khi = _k_window(graph, pool, plan.weights)
+    klo, khi = _k_window(graph, pool, weights)
     if magic_constant is not None:
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
 
@@ -709,10 +721,12 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     top = top_label + pool[-2]
     slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
     if not _root_lows(pool, e, slo, shi - e + 1):
-        return leaves.report(b)
+        return SearchReport((), frozenset(), True, 0, b)
     free0 = sum(1 << c for c in pool)
     fsum0 = (2 << shi) - (1 << slo)
 
+    plan = get_plan()
+    leaves = _Leaves(graph, plan, limit, canonical_only)
     steps = plan.steps
     labels = [0] * (n + 1)  # a sentinel slot, see _plan
     span = e - 1
@@ -850,7 +864,7 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     pool = list(range(1, total + 1))
     plan = _plan(graph)
     steps = plan.steps
-    klo, khi = _k_window(graph, pool, plan.weights)
+    klo, khi = _k_window(graph, pool, _weights(graph))
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
@@ -944,7 +958,7 @@ def find_consecutive(query: SearchQuery, budget: Optional[int] = None) -> Search
     if graph.edge_count < 1:
         raise SearchError("search requires at least one edge")
     return _enumerate_consecutive(graph, query.b, query.magic_constant, query.limit,
-                                  _plan(graph), query.canonical_only)
+                                  _weights(graph), partial(_plan, graph), query.canonical_only)
 
 
 def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchReport:
@@ -968,15 +982,17 @@ def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
     root check of ``_enumerate_consecutive``, which leaves no lowest sum,
     or by a DFS searched to exhaustion (with every automorphism broken,
     which cannot change satisfiability), and the bijection carries that
-    certificate to its mirror.  One placement plan serves every offset.
+    certificate to its mirror.  At most one placement plan serves every
+    offset: it is built at the first offset the root check leaves open, and
+    none is built when the root check refutes every offset searched.
     """
     _admit(graph, budget)
     if graph.edge_count == 0:
         return set()
     n = graph.vertex_count
-    plan = _plan(graph)
+    weights, get_plan = _weights(graph), cache(partial(_plan, graph))
     low = {b for b in range(n // 2 + 1)
-           if _enumerate_consecutive(graph, b, None, 1, plan, True).solution_count}
+           if _enumerate_consecutive(graph, b, None, 1, weights, get_plan, True).solution_count}
     return low | {n - b for b in low}
 
 

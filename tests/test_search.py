@@ -1,6 +1,7 @@
 """The exhaustive search oracle: enumeration, symmetry, budgets."""
 
 import gc
+import json
 import sys
 import time
 from itertools import islice, permutations
@@ -21,7 +22,7 @@ from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
                             compute_automorphisms, count_canonical,
                             feasible_b_set, find_consecutive, find_edge_magic,
                             find_graceful, _enumerate_consecutive, _k_window,
-                            _plan, _r_and_t)
+                            _plan, _r_and_t, _weights)
 
 P3 = build_path(3).graph
 
@@ -575,19 +576,78 @@ def test_root_check_never_refutes_a_feasible_offset(monkeypatch):
     graphs = [g for g in _connected_atlas(6) if g.edge_count] + [
         t for t in _small_trees(9) if t.vertex_count > 6]
     lows = search_module._root_lows
-    verdicts = []
-    monkeypatch.setattr(search_module, "_root_lows", lambda pool, e, lo, hi:
-                        verdicts.append(lows(pool, e, lo, hi)) or lo <= hi)
+    verdicts, reference = [], [True]
+
+    def root_lows(pool, e, lo, hi):
+        verdicts.append(lows(pool, e, lo, hi))
+        return lo <= hi if reference[0] else verdicts[-1]
+
+    monkeypatch.setattr(search_module, "_root_lows", root_lows)
     refuted = absent = 0
     for g in graphs:
         for b in range(g.vertex_count + 1):
+            query = SearchQuery(g, b=b, limit=1, canonical_only=True)
             verdicts.clear()
-            report = find_consecutive(SearchQuery(g, b=b, limit=1, canonical_only=True))
+            reference[0] = True
+            report = find_consecutive(query)
             absent += not report.labelings
             if not verdicts[0]:
                 assert not report.labelings, (g, b)
                 refuted += 1
+                # the report the check builds by hand is the reference's, field by field
+                reference[0] = False
+                own = find_consecutive(query)
+                assert own == report, (g, b)
+                assert json.dumps(own.to_dict()) == json.dumps(report.to_dict()), (g, b)
     assert (refuted, absent) == (990, 1249)
+
+
+def test_a_refuted_offset_builds_no_plan(monkeypatch):
+    """The root check needs only the pool and the degrees, so the plan is
+    built only at an offset it leaves open: on P10 at b = 0, 5 and 10 (the
+    three offsets whose DFS runs, see ``PLACE_CALLS``), on C6, K2,2 and K3,4
+    at none.  ``feasible_b_set`` builds at most one plan, at the first
+    offset left open, so none where the check refutes every offset.  A
+    graph the entry check refuses, disconnected or over budget, reaches
+    neither the root check nor the plan at any offset."""
+    plans, roots = [], []
+    plan, lows = search_module._plan, search_module._root_lows
+    monkeypatch.setattr(search_module, "_plan", lambda g: plans.append(g) or plan(g))
+    monkeypatch.setattr(search_module, "_root_lows",
+                        lambda *args: roots.append(args) or lows(*args))
+
+    def planned(g):
+        built = []
+        for b in range(g.vertex_count + 1):
+            plans.clear()
+            find_consecutive(SearchQuery(g, b=b))
+            built += [b] * len(plans)
+        return built
+
+    assert planned(build_path(10).graph) == [0, 5, 10]
+    for handle in (build_cycle(6), build_complete_bipartite(2, 2),
+                   build_complete_bipartite(3, 4)):
+        assert planned(handle.graph) == []
+    for handle, count in ((build_cycle(6), 0), (build_complete_bipartite(2, 2), 0),
+                          (build_complete_bipartite(3, 4), 0), (build_path(10), 1),
+                          (build_cycle(9), 1)):
+        plans.clear()
+        feasible_b_set(handle.graph)
+        assert len(plans) == count, handle.family
+
+    apart = Graph(16, tuple((2 * i, 2 * i + 1) for i in range(8)))  # 24 labels
+    big = build_caterpillar(CaterpillarSpec(6, (2, 2, 2, 2, 2, 2))).graph
+    plans.clear()
+    roots.clear()
+    for g, error, message in ((Graph(4, ((0, 1), (2, 3))), SearchError, "connected"),
+                              (apart, SearchError, "connected"),
+                              (big, BudgetExceeded, "over the budget")):
+        for b in range(g.vertex_count + 1):
+            with pytest.raises(error, match=message):
+                find_consecutive(SearchQuery(g, b=b))
+        with pytest.raises(error, match=message):
+            feasible_b_set(g)
+    assert not plans and not roots
 
 
 @pytest.mark.parametrize("n", range(9, 22, 2))
@@ -715,8 +775,6 @@ def test_search_matches_the_sum_window_scan():
 
 
 def test_search_report_json_round_trip():
-    import json
-
     report = find_consecutive(SearchQuery(P3, b=2))
     record = json.loads(json.dumps(report.to_dict()))
     assert record["b"] == 2 and record["exhausted"] is True
@@ -1023,7 +1081,8 @@ def _leaves(graph, b):
     plan = _plan(graph)
     n = graph.vertex_count
     bare = plan._replace(groups=[[v] for v in range(n)], sym=None)
-    return _enumerate_consecutive(graph, b, None, None, bare, False).labelings
+    return _enumerate_consecutive(graph, b, None, None, _weights(graph), lambda: bare,
+                                  False).labelings
 
 
 def test_the_search_reaches_one_labeling_per_orbit():
@@ -1166,7 +1225,7 @@ def test_k_window_holds_every_constant_and_both_ends_are_attained():
             pool = [*range(1, b + 1), *range(b + e + 1, n + e + 1)]
             searches.append((pool, find_consecutive(SearchQuery(g, b=b))))
         for labels, report in searches:
-            klo, khi = _k_window(g, list(labels), _plan(g).weights)
+            klo, khi = _k_window(g, list(labels), _weights(g))
             assert all(klo <= k <= khi for k in report.constants_found)
             low_hits += klo in report.constants_found
             high_hits += khi in report.constants_found
