@@ -95,7 +95,7 @@ def _read_json(path: str) -> object:
             return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, _DuplicateKey) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}")
 
 

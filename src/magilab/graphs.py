@@ -2,10 +2,11 @@
 
 Vertices are dense integers ``0..n-1``; structural names (spine positions,
 leaf slots, lobster roles) live in a :class:`FamilyHandle` next to the graph
-so labelings stay plain integer vectors.  A graph's two sides are stored in
-one place, :attr:`Graph.own_bipartition`: the family builders fill it with
-the sides they build, and any other graph works them out on first use, in
-the same breadth-first search that finds whether it is connected.
+so labelings stay plain integer vectors.  A graph's two sides are stored and
+worked out in one place, :attr:`Graph.own_bipartition`: the family builders
+fill it with the sides they build, any other graph works them out on first
+use, in the same breadth-first search that finds whether it is connected,
+and :func:`bipartition_of` reads them.
 Everything is immutable after construction and safe to share between
 threads: a value worked out on first use is a pure function of the graph,
 so two threads that both work it out get the same one (see ``_cached``).
@@ -13,7 +14,6 @@ so two threads that both work it out get the same one (see ``_cached``).
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -173,24 +173,29 @@ class Graph:
 
     @_cached
     def own_bipartition(self) -> Optional["Bipartition"]:
-        """The graph's own two-colouring (:func:`bipartition_of`), or None
-        when the graph is disconnected or not bipartite.
+        """The graph's own two-colouring, or None when the graph is
+        disconnected or not bipartite.
 
-        The one stored copy of a graph's sides.  A family builder fills it
-        with the sides it built, so reading it runs no search; on any other
-        graph it is worked out on first use and kept, like ``adjacency``, so
-        classifying many labelings of one graph makes one breadth-first
-        search of it.  It is the last reader of ``_distances``
-        (:func:`bipartition_of` answers ``_connected`` first), so once it
-        is worked out the graph lets the distances go.
+        The one stored copy of a graph's sides, and the one place that
+        works them out.  A family builder fills it with the sides it built,
+        so reading it runs no search; on any other graph it is worked out
+        on first use and kept, like ``adjacency``, so classifying many
+        labelings of one graph makes one breadth-first search of it.  The
+        sides are the parity classes of each vertex's distance from vertex
+        0 (``_distances``); an edge joining two vertices of equal parity
+        closes an odd cycle.  Past that test every edge joins an even
+        distance to an odd one, and vertex 0, at distance 0, is in side X,
+        so the sides are built unchecked.
         """
-        try:
-            return bipartition_of(self)
-        except GraphError:  # disconnected
+        n = self.vertex_count
+        if not self._connected:
             return None
-        finally:
-            with suppress(AttributeError):  # never worked out: K0, or too few edges
-                object.__delattr__(self, "_distances")
+        if n == 0:
+            return _sides(frozenset(), 0)
+        dist = self._distances
+        if any(dist[u] % 2 == dist[v] % 2 for u, v in self.edges):
+            return None
+        return _sides(frozenset(v for v in range(n) if dist[v] % 2 == 0), n)
 
     @_cached
     def _connected(self) -> bool:
@@ -208,8 +213,8 @@ class Graph:
     def _distances(self) -> list[int]:
         """Each vertex's distance from vertex 0, -1 where it is not
         reached: the one breadth-first search that both ``_connected`` and
-        :func:`bipartition_of` read, whichever asks first.  Kept only until
-        ``own_bipartition`` is worked out."""
+        ``own_bipartition`` read, whichever asks first.  Kept like
+        ``adjacency``."""
         return _bfs(self, 0)[1]
 
     @_cached
@@ -532,26 +537,20 @@ def is_connected(graph: Graph) -> bool:
 
 
 def bipartition_of(graph: Graph) -> Optional[Bipartition]:
-    """Two-color a connected graph by the parity of each vertex's distance
-    from vertex 0, in one breadth-first search, the one connectivity reads.
+    """A connected graph's sides, :attr:`Graph.own_bipartition`: the
+    parity classes of each vertex's distance from vertex 0, with vertex 0
+    in side X, or None when an odd cycle leaves the graph without two
+    sides.  On a family builder's graph they are the sides it was built
+    with.
 
-    Returns None when an edge joins two vertices of equal parity, which
-    closes an odd cycle.  Disconnected input is rejected because side
-    identity would be arbitrary.  Otherwise the sides are built unchecked:
-    every edge joins an even distance to an odd one, and vertex 0, at
-    distance 0, is in side X.  The library reads the sides through
-    :attr:`Graph.own_bipartition`, which keeps them; a call made after that
-    has been worked out searches the graph again.
+    Disconnected input is rejected because side identity would be
+    arbitrary.  The sides are kept on the graph, so each graph is searched
+    at most once, whichever of this, :func:`is_connected` and
+    ``own_bipartition`` asks first.
     """
-    n = graph.vertex_count
-    if n == 0:
-        return _sides(frozenset(), 0)
     if not graph._connected:
         raise GraphError("bipartition_of requires a connected graph")
-    dist = graph._distances
-    if any(dist[u] % 2 == dist[v] % 2 for u, v in graph.edges):
-        return None
-    return _sides(frozenset(v for v in range(n) if dist[v] % 2 == 0), n)
+    return graph.own_bipartition
 
 
 # ---------------------------------------------------------------------------

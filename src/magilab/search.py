@@ -268,7 +268,7 @@ def _plan(graph: Graph) -> _Plan:
     and a central root keeps the BFS layers few, so a vertex and its mirror
     image sit close in the order and the symmetry bound of the later one
     prunes early: over every offset of P10, the full enumerations visit
-    38,820 DFS nodes from a middle root and 74,204 from a root next to an
+    36,174 DFS nodes from a middle root and 69,204 from a root next to an
     end.
 
     ``steps[i]`` is ``(v, u0, more, below, dw, rest)``: the vertex

@@ -286,6 +286,35 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
     assert err.startswith(f"error: cannot read JSON from {path}: ")
 
 
+# an integer past Python's 4,300-digit int-string limit, and arrays nested
+# past the JSON reader's recursion limit (10,000 levels, 20 KB)
+_UNREADABLE_JSON = {"long-int": '{"vertex_count": 1' + "0" * 4300 + ', "edges": []}',
+                    "deep-array": "[" * 10_000 + "]" * 10_000}
+
+
+@pytest.mark.parametrize("text", list(_UNREADABLE_JSON.values()), ids=list(_UNREADABLE_JSON))
+@pytest.mark.parametrize("argv, bad", [
+    (("search", "--graph", "{bad}", "--b", "1"), "{bad}"),
+    (("verify", "{good}", "{bad}"), "{bad}"),
+    (("verify", "{bad}"), "{bad}"),
+    (("transform", "dual", "{bad}"), "{bad}"),
+    (("search", "--graph", "-", "--b", "1"), "-"),
+    (("verify", "-"), "-"),
+], ids=["graph-file", "labeling-file", "bundle-file", "transform-bundle", "graph-stdin",
+        "bundle-stdin"])
+def test_json_python_cannot_read_exits_2(tmp_path, capsys, monkeypatch, text, argv, bad):
+    import io
+    import sys as _sys
+    paths = {"good": tmp_path / "good.json", "bad": tmp_path / "bad.json"}
+    paths["good"].write_text('{"vertex_count": 2, "edges": [[0, 1]]}')
+    paths["bad"].write_text(text)
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read JSON from {bad.format(**paths)}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["5", "null", '"graph labeling"', '["graph", "labeling"]'])
 @pytest.mark.parametrize("argv", [("verify", "-"), ("transform", "dual", "-")])
 def test_bundle_that_is_not_an_object_exits_2(capsys, monkeypatch, argv, text):

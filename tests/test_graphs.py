@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from magilab import graphs
-from magilab.analysis import TheoremReport, constant_form_check
+from magilab.analysis import TheoremReport, constant_form_check, predicted_b_candidates
 from magilab.graphs import (Bipartition, CaterpillarSpec, FamilyHandle, Graph, GraphError,
                             _unchecked, bipartition_of, build_caterpillar,
                             build_complete_bipartite, build_cycle,
@@ -258,7 +258,7 @@ def test_unchecked_builds_equal_the_checked_constructors():
             assert Bipartition(bip.side_x, bip.side_y) == bip, handle.family
             built = _unchecked(Bipartition, side_x=bip.side_x, side_y=bip.side_y)
             assert built == bip and not hasattr(built, "__dict__"), handle.family
-        assert bipartition_of(g) == bip, handle.family
+        assert bipartition_of(Graph(g.vertex_count, g.edges)) == bip, handle.family
         built = _unchecked(FamilyHandle, graph=g, name_map=handle.name_map,
                            family=handle.family)
         assert built == checked and not hasattr(built, "__dict__"), handle.family
@@ -324,6 +324,56 @@ def test_builders_hand_their_sides_to_the_graph(monkeypatch):
         g = handle.graph
         assert bipartition_of(Graph(g.vertex_count, g.edges)) == sides, handle.family
         searches.clear()
+
+
+_READERS = {"is_connected": lambda g, lab: is_connected(g),
+            "own_bipartition": lambda g, lab: g.own_bipartition,
+            "bipartition_of": lambda g, lab: bipartition_of(g),
+            "classify": classify,
+            "predicted_b_candidates": lambda g, lab: predicted_b_candidates(g)}
+
+
+def test_a_graph_is_searched_once_whichever_reader_asks_first(monkeypatch):
+    """A fresh graph runs one breadth-first search, a builder's graph none,
+    over any order of the readers of its connectivity and sides, with
+    ``bipartition_of`` asked twice.  ``classify`` gets a labeling whose low
+    block is a side, where one exists, so that it reads the sides.  The
+    sides themselves, and the refusal of a disconnected graph, are pinned
+    too."""
+    assert Graph(0).own_bipartition == bipartition_of(Graph(0)) == Bipartition(set(), set())
+    assert bipartition_of(Graph(1)) == Bipartition({0}, set())
+    assert bipartition_of(Graph(2, ((0, 1),))) == Bipartition({0}, {1})
+    assert bipartition_of(Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))) is None
+    k23 = Graph(5, tuple((u, v) for u in range(2) for v in range(2, 5)))
+    assert k23.own_bipartition == bipartition_of(k23) == Bipartition({0, 1}, {2, 3, 4})
+    three_k2 = Graph(6, ((0, 1), (2, 3), (4, 5)))
+    assert three_k2.own_bipartition is None
+    with pytest.raises(GraphError, match="^bipartition_of requires a connected graph$"):
+        bipartition_of(three_k2)
+
+    cases = []
+    for handle in (build_complete_bipartite(2, 3), build_path(2), build_cycle(5)):
+        g, n = handle.graph, handle.graph.vertex_count
+        found = (lab for b in range(1, n)
+                 for lab in find_consecutive(SearchQuery(g, b=b, limit=1)).labelings)
+        lab = next(found, TotalLabeling.trusted(tuple(range(1, n + 1)),
+                                                tuple(range(n + 1, g.label_count + 1))))
+        cases.append((handle.graph, lab))
+    searches = []
+
+    def counted_bfs(graph, root):
+        searches.append(graph)
+        return bfs(graph, root)
+
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", counted_bfs)
+    for order in permutations(_READERS):
+        for built, lab in cases:
+            for g, bfs_count in ((Graph(built.vertex_count, built.edges), 1), (built, 0)):
+                searches.clear()
+                for name in order + ("bipartition_of",):
+                    _READERS[name](g, lab)
+                assert searches == [g] * bfs_count, (built, order)
 
 
 @pytest.mark.parametrize("build, args", [

@@ -252,29 +252,24 @@ def test_classify_has_no_side_on_a_graph_without_its_own_bipartition():
 
 
 def test_classify_works_out_a_graphs_sides_once(monkeypatch):
-    """One colouring, and so one breadth-first search, per graph, however
-    many labelings of it are classified; the searches that found them
-    check the graph's connectivity in that same search.  The graph is a
+    """One breadth-first search per graph, however many labelings of it
+    are classified: the graph keeps its sides and the search they come
+    from, and the searches that found the labelings check the graph's
+    connectivity in that same search.  The graph is a
     fresh copy of a builder's, so it does not hold the sides the builder
     gave its own."""
     built = build_caterpillar(CaterpillarSpec(3, (2, 1, 2))).graph
     g = Graph(built.vertex_count, built.edges)
-    calls, searches = [], []
-
-    def counted(graph):
-        calls.append(graph)
-        return bipartition_of(graph)
+    searches = []
 
     def counted_bfs(graph, root):
         searches.append(graph)
         return bfs(graph, root)
 
     bfs = graphs._bfs
-    monkeypatch.setattr(graphs, "bipartition_of", counted)
     monkeypatch.setattr(graphs, "_bfs", counted_bfs)
     found = [lab for b in range(1, g.vertex_count)
              for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
     sides = [classify(g, lab).side_with_small_labels for lab in found]
     assert len(found) > 10 and {"X", "Y"} <= set(sides)
-    assert calls == [g]
     assert searches == [g]
