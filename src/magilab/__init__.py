@@ -12,7 +12,8 @@ from .constructions import (ConstructionError, caterpillar_beta_labeling,
                             lambda_star, to_graceful, to_super_edge_magic)
 from .search import (DEFAULT_BUDGET, BudgetExceeded, SearchError, SearchQuery,
                      SearchReport, compute_automorphisms, count_canonical,
-                     feasible_b_set, find_consecutive, find_edge_magic, find_graceful)
+                     feasible_b_set, feasible_k_set, find_consecutive, find_edge_magic,
+                     find_graceful)
 from .analysis import (ConstantFormWitness, TheoremReport, caterpillar_suite,
                        classify_trichotomy, closing_claims_suite, constant_form_check,
                        double_star_suite, format_report_table, lobster_b_set,

@@ -170,7 +170,10 @@ def neighbor_block_holds(graph: Graph, labeling: TotalLabeling, b: int) -> bool:
     The blocks are {1..b} and {b+|E|+1..|V|+|E|}.  Inputs are checked for
     the structural preconditions (bijection, b exactly an int in 1..|V|);
     the block property itself is evaluated directly, so a corrupted
-    labeling simply returns False.
+    labeling simply returns False.  It reads the edge list once, marking
+    for each vertex the blocks its neighbours fall in, and keeps nothing on
+    the graph: a neighbour in neither block, or a vertex with neighbours in
+    both, gives False.
     """
     check_total_labeling(graph, labeling)
     if type(b) is not int:  # True would count as 1, and 2.0 as 2
@@ -178,19 +181,15 @@ def neighbor_block_holds(graph: Graph, labeling: TotalLabeling, b: int) -> bool:
     if not 1 <= b <= graph.vertex_count:
         raise LabelingError(f"b={b} outside 1..{graph.vertex_count}")
     high_start = b + graph.edge_count + 1
-    vl = labeling.vertex_labels
-    for nbrs in graph.adjacency:
-        low = high = False
-        for u in nbrs:
-            if vl[u] <= b:
-                low = True
-            elif vl[u] >= high_start:
-                high = True
-            else:
-                return False
-        if low and high:
+    # 1 for a label in the low block, 2 in the high block, 0 in neither
+    block = [1 if x <= b else 2 if x >= high_start else 0 for x in labeling.vertex_labels]
+    seen = [0] * graph.vertex_count  # the blocks of each vertex's neighbours, as bits
+    for u, v in graph.edges:
+        if not (block[u] and block[v]):
             return False
-    return True
+        seen[u] |= block[v]
+        seen[v] |= block[u]
+    return 3 not in seen
 
 
 def is_graceful(graph: Graph, labeling: VertexLabeling) -> bool:

@@ -22,6 +22,12 @@ refutation or an exhaustive search.
 
 Edge-magic searches (no offset) keep an outer loop over that k window:
 each k forces every edge label to k - f(u) - f(v), which must be unused.
+``feasible_k_set`` asks only which constants occur.  It runs that DFS once
+per k of the window, with every automorphism broken, and stops each at its
+first witness; all of them share one placement plan, built at the first k
+searched.  Each is the full listing's DFS for that k, cut at its first
+leaf, so it visits no more nodes and keeps one labeling per constant where
+the listing keeps every one.
 
 All three engines (these two and the graceful search) walk one placement
 plan, ``_plan``: a BFS order from a root over the non-leaves, then the
@@ -821,8 +827,16 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
 
 
 def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
-                          limit: Optional[int], canonical_only: bool) -> SearchReport:
+                          limit: Optional[int], weights: list[int],
+                          get_plan: Callable[[], _Plan], canonical_only: bool) -> SearchReport:
     """k-outer-loop DFS: every edge-magic labeling, one pass per candidate k.
+
+    The graph needs an edge.  ``weights`` is its ``_weights``, and
+    ``get_plan()`` hands back its ``_plan``, called only when some k is
+    left to search: a constant pinned outside the degree-sum window returns
+    the empty, exhausted report and builds no plan.  A sweep over the
+    constants (``feasible_k_set``) works the weights out once and passes a
+    getter that builds the plan once and keeps it.
 
     Labels come from all of 1..|V|+|E| and edge labels form no block, so the
     sums carry no window.  Each k in the degree-sum window (or the pinned
@@ -859,15 +873,15 @@ def _enumerate_edge_magic(graph: Graph, magic_constant: Optional[int],
     """
     n, e = graph.vertex_count, graph.edge_count
     total = n + e
-    if e == 0:
-        return SearchReport((), frozenset(), True, 0)
     pool = list(range(1, total + 1))
-    plan = _plan(graph)
-    steps = plan.steps
-    klo, khi = _k_window(graph, pool, _weights(graph))
+    klo, khi = _k_window(graph, pool, weights)
     ks = range(klo, khi + 1)
     if magic_constant is not None:
         ks = [magic_constant] if klo <= magic_constant <= khi else []
+    if not ks:
+        return SearchReport((), frozenset(), True, 0)
+    plan = get_plan()
+    steps = plan.steps
     leaves = _Leaves(graph, plan, limit, canonical_only)
 
     # bits 1..total: every label free, in both orientations
@@ -965,9 +979,36 @@ def find_edge_magic(query: SearchQuery, budget: Optional[int] = None) -> SearchR
     """All edge-magic labelings regardless of where edge labels sit."""
     if query.b is not None:
         raise SearchError("find_edge_magic searches without a block offset")
-    _admit(query.graph, budget)
-    return _enumerate_edge_magic(query.graph, query.magic_constant, query.limit,
-                                 query.canonical_only)
+    graph = query.graph
+    _admit(graph, budget)
+    if graph.edge_count == 0:
+        return SearchReport((), frozenset(), True, 0)
+    return _enumerate_edge_magic(graph, query.magic_constant, query.limit,
+                                 _weights(graph), partial(_plan, graph), query.canonical_only)
+
+
+def feasible_k_set(graph: Graph, budget: Optional[int] = None) -> set[int]:
+    """Every magic constant k of some edge-magic labeling of the graph.
+
+    The edge-magic twin of ``feasible_b_set``.  Each k in the degree-sum
+    window of ``_k_window`` gets its own DFS, which stops at its first
+    witness labeling; one without one is certified absent by a DFS searched
+    to exhaustion.  Every automorphism is broken, twins included
+    (``canonical_only``), which cannot change satisfiability: every orbit
+    with a labeling has its least member, and that member labels each twin
+    class in ascending order.  So the set equals the ``constants_found`` of
+    the full listing, which keeps every labeling where this keeps one per k.
+    At most one placement plan serves every k: it is built at the first k
+    searched.  A graph with no edge has no constant, and the entry checks
+    are those of every search.
+    """
+    _admit(graph, budget)
+    if graph.edge_count == 0:
+        return set()
+    weights, get_plan = _weights(graph), cache(partial(_plan, graph))
+    klo, khi = _k_window(graph, list(range(1, graph.label_count + 1)), weights)
+    return {k for k in range(klo, khi + 1)
+            if _enumerate_edge_magic(graph, k, 1, weights, get_plan, True).solution_count}
 
 
 def feasible_b_set(graph: Graph, budget: Optional[int] = None) -> set[int]:

@@ -20,7 +20,7 @@ from magilab.graphs import (CaterpillarSpec, build_caterpillar,
                             build_star, is_connected)
 from magilab.labelings import (check_total_labeling, classify, is_graceful,
                                magic_constant_of, neighbor_block_holds)
-from magilab.search import (SearchQuery, count_canonical, feasible_b_set,
+from magilab.search import (SearchQuery, count_canonical, feasible_b_set, feasible_k_set,
                             find_consecutive, find_edge_magic, find_graceful)
 
 
@@ -210,7 +210,9 @@ def test_criterion_03_double_star_uniqueness(double_star_runs):
 
 
 def test_criterion_04_constant_form(edge_magic_runs):
-    """Every realized magic constant is gcd(m,n)*t + 6 for some t >= 0."""
+    """Every realized magic constant is gcd(m,n)*t + 6 for some t >= 0, and
+    one witness per constant (``feasible_k_set``, which the suite reads)
+    finds exactly the constants of the full listing."""
     t0 = time.time()
     failures = []
     for m, n in EDGE_MAGIC_STARS:
@@ -219,6 +221,10 @@ def test_criterion_04_constant_form(edge_magic_runs):
             failures.append(f"DS({m},{n}): not exhausted")
         if not report.constants_found:
             failures.append(f"DS({m},{n}): no edge-magic labelings found")
+        witnessed = feasible_k_set(build_double_star(m, n).graph)
+        if witnessed != report.constants_found:
+            failures.append(f"DS({m},{n}): feasible_k_set {sorted(witnessed)} != "
+                            f"listing {sorted(report.constants_found)}")
         for k in sorted(report.constants_found):
             witness = constant_form_check(m, n, k)
             if witness.t is None or witness.t < 0:

@@ -93,6 +93,56 @@ def test_neighbor_block_on_search_output():
             assert neighbor_block_holds(P3, lab, b)
 
 
+def _neighbor_block_by_adjacency(graph, labeling, b):
+    """The reference predicate, walking each vertex's neighbour list."""
+    high_start = b + graph.edge_count + 1
+    vl = labeling.vertex_labels
+    for nbrs in graph.adjacency:
+        low = high = False
+        for u in nbrs:
+            if vl[u] <= b:
+                low = True
+            elif vl[u] >= high_start:
+                high = True
+            else:
+                return False
+        if low and high:
+            return False
+    return True
+
+
+def test_neighbor_block_matches_the_adjacency_walk():
+    """Every consecutive labeling of the trees with at most 7 vertices, and a
+    seeded shuffle of each, at every valid b.  A False with no vertex label
+    between the blocks comes from a vertex whose neighbours fall in both,
+    and both kinds of False occur."""
+    nx = pytest.importorskip("networkx")
+    rng = Random(34)
+    falses = set()
+    for n in range(2, 8):
+        for tree in nx.nonisomorphic_trees(n):
+            g = Graph(n, tuple(sorted(tuple(sorted(e)) for e in tree.edges)))
+            labelings = [lab for b in range(n + 1)
+                         for lab in find_consecutive(SearchQuery(g, b=b)).labelings]
+            for lab in list(labelings):
+                labels = [*lab.vertex_labels, *lab.edge_labels]
+                rng.shuffle(labels)
+                labelings.append(TotalLabeling(tuple(labels[:n]), tuple(labels[n:])))
+            for lab in labelings:
+                for b in range(1, n + 1):
+                    holds = _neighbor_block_by_adjacency(g, lab, b)
+                    assert neighbor_block_holds(g, lab, b) == holds, (g, lab, b)
+                    if not holds:
+                        falses.add(any(b < x <= b + n - 1 for x in lab.vertex_labels))
+    assert falses == {False, True}
+
+
+def test_neighbor_block_keeps_no_adjacency_on_the_graph():
+    g = Graph(4, ((0, 1), (0, 2), (2, 3)))
+    assert neighbor_block_holds(g, P4_LABELING, 2)
+    assert "adjacency" not in g.__dict__
+
+
 @pytest.mark.parametrize("labels,expected", [
     ((0, 1), True),
 ])

@@ -19,10 +19,10 @@ from magilab.graphs import (CaterpillarSpec, Graph, build_caterpillar,
 from magilab.labelings import (LabelingError, TotalLabeling, classify, is_graceful,
                                magic_constant_of)
 from magilab.search import (BudgetExceeded, SearchError, SearchQuery,
-                            compute_automorphisms, count_canonical,
-                            feasible_b_set, find_consecutive, find_edge_magic,
-                            find_graceful, _enumerate_consecutive, _k_window,
-                            _plan, _r_and_t, _weights)
+                            SearchReport, compute_automorphisms, count_canonical,
+                            feasible_b_set, feasible_k_set, find_consecutive,
+                            find_edge_magic, find_graceful, _enumerate_consecutive,
+                            _k_window, _plan, _r_and_t, _weights)
 
 P3 = build_path(3).graph
 
@@ -114,8 +114,10 @@ def test_canonical_only_must_be_a_bool(value):
     lambda g, budget: find_consecutive(SearchQuery(g, b=1), budget=budget),
     lambda g, budget: find_edge_magic(SearchQuery(g), budget=budget),
     lambda g, budget: feasible_b_set(g, budget=budget),
+    lambda g, budget: feasible_k_set(g, budget=budget),
     lambda g, budget: find_graceful(g, budget=budget),
-], ids=["find_consecutive", "find_edge_magic", "feasible_b_set", "find_graceful"])
+], ids=["find_consecutive", "find_edge_magic", "feasible_b_set", "feasible_k_set",
+        "find_graceful"])
 @pytest.mark.parametrize("budget,named", [
     (0, "budget must be at least 1, got 0"), (-1, "budget must be at least 1, got -1"),
     (True, "budget must be an integer"), (2.5, "budget must be an integer"),
@@ -677,6 +679,63 @@ def test_edge_magic_search_tree_is_pinned(handle, nodes):
                                  "_enumerate_edge_magic")
     assert report.exhausted and report.labelings
     assert len(calls) == nodes
+
+
+def test_feasible_k_set_matches_the_full_listing():
+    """One witness per constant finds exactly the constants of the full
+    listing: on the 78 connected atlas graphs with at most 13 labels, the
+    free trees with at most 7 vertices and the double stars with at most 17
+    labels.  The listing breaks the twins too (``canonical_only``), which
+    keeps its constants and spares it the orbits' twin orders."""
+    atlas = [g for g in _connected_atlas(7) if g.label_count <= 13]
+    assert len(atlas) == 78
+    stars = [build_double_star(m, n).graph for m in range(1, 4) for n in range(m, 8 - m)]
+    for g in atlas + _small_trees() + stars:
+        listing = find_edge_magic(SearchQuery(g, canonical_only=True))
+        assert feasible_k_set(g) == set(listing.constants_found), g.edges
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_feasible_k_set_of_an_edgeless_graph_is_empty(n):
+    assert feasible_k_set(Graph(n)) == set()
+
+
+@pytest.mark.parametrize("graph, budget", [
+    (Graph(4, ((0, 1), (2, 3))), None),
+    (build_caterpillar(CaterpillarSpec(6, (2, 2, 2, 2, 2, 2))).graph, None),
+    (P3, 4),
+], ids=["disconnected", "over-default-budget", "over-budget"])
+def test_feasible_k_set_refuses_what_find_edge_magic_refuses(graph, budget):
+    with pytest.raises((SearchError, BudgetExceeded)) as listing:
+        find_edge_magic(SearchQuery(graph), budget=budget)
+    with pytest.raises(listing.type) as witnesses:
+        feasible_k_set(graph, budget=budget)
+    assert str(witnesses.value) == str(listing.value)
+
+
+def test_feasible_k_set_builds_one_plan_and_a_pinned_absent_constant_none(monkeypatch):
+    """``feasible_k_set`` builds at most one plan, at the first k it searches,
+    and ``find_edge_magic`` pinned to a constant outside the degree-sum
+    window builds none: it returns the empty, exhausted report at once."""
+    plans = []
+    plan = search_module._plan
+    monkeypatch.setattr(search_module, "_plan", lambda g: plans.append(g) or plan(g))
+    empty = SearchReport((), frozenset(), True, 0)
+    for handle in (build_path(3), build_path(6), build_cycle(6), build_star(5),
+                   build_complete_bipartite(2, 3), build_double_star(2, 4)):
+        g = handle.graph
+        plans.clear()
+        assert feasible_k_set(g)
+        assert len(plans) == 1, handle.family
+        klo, khi = _k_window(g, list(range(1, g.label_count + 1)), _weights(g))
+        for k in (klo - 1, khi + 1, 0, -3):
+            plans.clear()
+            report = find_edge_magic(SearchQuery(g, magic_constant=k))
+            assert not plans, (handle.family, k)
+            assert report == empty and report.to_dict() == empty.to_dict()
+        plans.clear()
+        find_edge_magic(SearchQuery(g, magic_constant=klo))
+        assert len(plans) == 1
 
 
 def _labeling_set(report):
