@@ -17,7 +17,7 @@ from itertools import count
 from typing import Optional
 
 from .graphs import Bipartition, CaterpillarSpec, Graph, _double_star_sizes, _unchecked
-from .labelings import TotalLabeling, VertexLabeling, _offset_of, magic_constant_of
+from .labelings import TotalLabeling, VertexLabeling, _magic_block
 
 
 class ConstructionError(ValueError):
@@ -97,9 +97,11 @@ def dual(graph: Graph, labeling: TotalLabeling) -> TotalLabeling:
     """Complement every label: z -> |V|+|E|+1-z.
 
     Sends an edge-magic labeling with constant k to one with constant
-    3(|V|+|E|+1)-k, and a block offset b to |V|-b.  An involution.
+    3(|V|+|E|+1)-k, and a block offset b to |V|-b.  An involution.  The
+    input is checked by the kernel ``classify`` runs,
+    :func:`magilab.labelings._magic_block`.
     """
-    if magic_constant_of(graph, labeling) is None:
+    if _magic_block(graph, labeling)[0] is None:
         raise ConstructionError("dual requires an edge-magic labeling")
     top = graph.label_count + 1
     return TotalLabeling.trusted(tuple([top - x for x in labeling.vertex_labels]),
@@ -111,12 +113,13 @@ def _block_structure(graph: Graph, labeling: TotalLabeling) -> int:
 
     The low block holds the vertex labels 1..b.  For 0 < b < |V| every edge
     must join it to the high block, otherwise the block reflections would
-    not stay magic; inputs violating that are rejected.
+    not stay magic; inputs violating that are rejected.  The bijection,
+    the common sum and the block come from one pass of the kernel
+    ``classify`` and ``dual`` run, :func:`magilab.labelings._magic_block`.
     """
-    k = magic_constant_of(graph, labeling)
+    k, b = _magic_block(graph, labeling)
     if k is None:
         raise ConstructionError("input labeling is not edge-magic")
-    b = _offset_of(graph, labeling, k)
     if b is None:
         raise ConstructionError("input labeling is not consecutive edge-magic")
     vl = labeling.vertex_labels

@@ -611,8 +611,19 @@ class _Leaves:
         return not self.full
 
     def report(self, b: Optional[int]) -> SearchReport:
-        """The labelings kept, sorted by vertex labels."""
-        self.sols.sort()
+        """The labelings kept, sorted by vertex labels.
+
+        Sorting on the vertex labels alone gives the order of a sort on
+        (vertex labels, edge labels).  Every edge sum is k, so summing over
+        the edges, |E|·k = Σ_v deg(v)·f(v) + Σ_e f(e) = T + Σ_v (deg(v) − 1)·f(v),
+        where T = 1 + 2 + ... + |V|+|E| is the sum of all the labels: the
+        vertex labels fix k, and with k each edge label k − f(u) − f(v).
+        So two kept labelings with equal vertex labels are equal, and a
+        tie left in the stable key sort is a tie of equal tuples.  (The
+        orbits a search expands are disjoint and each lists its members
+        once, so no two kept labelings share their vertex labels at all.)
+        """
+        self.sols.sort(key=itemgetter(0))
         labelings = tuple(starmap(TotalLabeling.trusted, self.sols))
         return SearchReport(labelings, frozenset(self.constants), not self.full,
                             len(self.sols), b, self.leaves)

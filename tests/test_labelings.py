@@ -6,12 +6,14 @@ from random import Random
 import pytest
 
 from magilab import graphs
+from magilab.constructions import (ConstructionError, dual, lambda_star, to_graceful,
+                                   to_super_edge_magic)
 from magilab.graphs import (Bipartition, CaterpillarSpec, Graph, bipartition_of, build_caterpillar,
-                            build_cycle, build_lobster, build_path)
-from magilab.labelings import (LabelingError, TotalLabeling, VertexLabeling,
-                               check_total_labeling, classify, is_graceful,
+                            build_cycle, build_lobster, build_path, build_star)
+from magilab.labelings import (LabelingClassification, LabelingError, TotalLabeling,
+                               VertexLabeling, check_total_labeling, classify, is_graceful,
                                magic_constant_of, neighbor_block_holds)
-from magilab.search import SearchQuery, compute_automorphisms, find_consecutive
+from magilab.search import SearchQuery, compute_automorphisms, find_consecutive, find_edge_magic
 
 # the closed-form labeling of the 4-vertex double star, in canonical
 # vertex order (c1, c1_1, c2, c2_1) and edge order ((0,1),(0,2),(2,3))
@@ -323,3 +325,183 @@ def test_classify_works_out_a_graphs_sides_once(monkeypatch):
     sides = [classify(g, lab).side_with_small_labels for lab in found]
     assert len(found) > 10 and {"X", "Y"} <= set(sides)
     assert searches == [g]
+
+
+def test_classify_names_no_side_a_low_block_cannot_equal():
+    """A given bipartition is compared as sets of vertices.  A side of b
+    members holding a negative vertex, a vertex >= |V|, or another graph's
+    vertices never equals the low block: classify names no side, where
+    reading labels off such a side would take vl[-1] for the low block or
+    raise IndexError."""
+    assert classify(P3, P3_LABELING).side_with_small_labels == "X"  # low block {0, 2}
+    other = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 4))).own_bipartition
+    assert other.side_x == {0, 4}
+    for bip in (Bipartition({0, -1}, {1}), Bipartition({0, 3}, {1}), other):
+        got = classify(P3, P3_LABELING, bip)
+        assert got == LabelingClassification(10, 2, False, None)
+
+
+# The checks as three passes, each its own function, as they were before
+# classify and the transforms shared one kernel: the reference for it.
+
+def _ref_check(graph, labeling):
+    if len(labeling.vertex_labels) != graph.vertex_count:
+        raise LabelingError(
+            f"expected {graph.vertex_count} vertex labels, got {len(labeling.vertex_labels)}")
+    if len(labeling.edge_labels) != graph.edge_count:
+        raise LabelingError(
+            f"expected {graph.edge_count} edge labels, got {len(labeling.edge_labels)}")
+    total = graph.label_count
+    seen = [False] * (total + 1)
+    for value in labeling.vertex_labels + labeling.edge_labels:
+        if not 1 <= value <= total:
+            raise LabelingError(f"label {value} outside 1..{total}")
+        if seen[value]:
+            raise LabelingError(f"label {value} used twice")
+        seen[value] = True
+
+
+def _ref_magic_constant(graph, labeling):
+    _ref_check(graph, labeling)
+    if graph.edge_count == 0:
+        return None
+    vl, el = labeling.vertex_labels, labeling.edge_labels
+    k = None
+    for i, (u, v) in enumerate(graph.edges):
+        s = vl[u] + vl[v] + el[i]
+        if k is None:
+            k = s
+        elif s != k:
+            return None
+    return k
+
+
+def _ref_offset(graph, labeling, k):
+    if k is None:
+        return None
+    lo, hi = min(labeling.edge_labels), max(labeling.edge_labels)
+    return lo - 1 if hi - lo + 1 == graph.edge_count else None
+
+
+def _ref_classify(graph, labeling, bipartition=None):
+    k = _ref_magic_constant(graph, labeling)
+    b = _ref_offset(graph, labeling, k)
+    side = None
+    if b is not None and 0 < b < graph.vertex_count:
+        sides = graph.own_bipartition if bipartition is None else bipartition
+        if sides is not None:
+            vl = labeling.vertex_labels
+            small = frozenset(v for v in range(graph.vertex_count) if vl[v] <= b)
+            if small == sides.side_x:
+                side = "X"
+            elif small == sides.side_y:
+                side = "Y"
+    return LabelingClassification(k, b, b == graph.vertex_count, side)
+
+
+def _ref_refusals(graph, labeling):
+    """The error each transform raised before the kernel, None where it accepted."""
+    try:
+        k = _ref_magic_constant(graph, labeling)
+    except LabelingError as exc:
+        return dict.fromkeys(TRANSFORMS, (LabelingError, str(exc)))
+    b, n, e = _ref_offset(graph, labeling, k), graph.vertex_count, graph.edge_count
+    vl = labeling.vertex_labels
+    if k is None:
+        block = ConstructionError, "input labeling is not edge-magic"
+    elif b is None:
+        block = ConstructionError, "input labeling is not consecutive edge-magic"
+    elif 0 < b < n and any((vl[u] <= b) == (vl[v] <= b) for u, v in graph.edges):
+        block = ConstructionError, "vertex labels do not split into one block per partite side"
+    else:
+        block = None
+    side = block
+    if block is None and b in (0, n):
+        side = ConstructionError, f"offset b={b} does not single out a partite side"
+    graceful = side
+    if side is None and n > e + 1:
+        graceful = ConstructionError, f"{n} vertices need more graceful labels than 0..{e}"
+    return {dual: None if k is not None else (ConstructionError,
+                                               "dual requires an edge-magic labeling"),
+            lambda_star: block, to_graceful: graceful, to_super_edge_magic: side}
+
+
+TRANSFORMS = (dual, lambda_star, to_graceful, to_super_edge_magic)
+
+
+def _outcome(check, *args):
+    """What ``check`` returns, or the type and message of the error it raises."""
+    try:
+        return check(*args)
+    except (LabelingError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted(labeling):
+    """Labelings one fault away from ``labeling``: a vertex and an edge label
+    swapped, two edge labels swapped (two sums broken, still a bijection),
+    a repeated label, a 0, the label |V|+|E|+1, one label too few on each
+    side, a vertex label moved to the edges, and one edge label raised by 1."""
+    vl, el = list(labeling.vertex_labels), list(labeling.edge_labels)
+    top = len(vl) + len(el)
+    yield vl[1:] + el[:1], [vl[0]] + el[1:]
+    if len(el) > 1:
+        yield vl, [el[1], el[0]] + el[2:]
+    yield [vl[-1]] + vl[1:], el
+    yield [0] + vl[1:], el
+    yield vl, el[:-1] + [top + 1]
+    yield vl[:-1], el
+    yield vl, el[:-1]
+    yield vl[:-1], el + vl[-1:]
+    yield vl, [el[0] + 1] + el[1:]
+
+
+def _differential_inputs():
+    nx = pytest.importorskip("networkx")
+    graphs_ = [Graph(n, tuple(sorted(tuple(sorted(e)) for e in tree.edges)))
+               for n in range(2, 8) for tree in nx.nonisomorphic_trees(n)]
+    graphs_ += [build_cycle(n).graph for n in (5, 6, 7)]
+    for g in graphs_:
+        for b in range(g.vertex_count + 1):
+            yield from ((g, lab) for lab in find_consecutive(SearchQuery(g, b=b)).labelings)
+    for g in (build_path(4).graph, build_star(3).graph):
+        yield from ((g, lab) for lab in find_edge_magic(SearchQuery(g)).labelings)
+
+
+def test_one_pass_kernel_matches_the_three_pass_checks():
+    """classify, magic_constant_of, check_total_labeling, the transforms and
+    neighbor_block_holds give the same verdicts, and raise the same errors
+    with byte-identical messages, as the separate checks they replaced, on
+    every consecutive labeling of the trees with at most 7 vertices and of
+    C5-C7, every edge-magic labeling of P4 and K1,3 (consecutive or not),
+    and one faulty variant of each, the kinds taken in turn."""
+    kinds = set()
+    for i, (g, lab) in enumerate(_differential_inputs()):
+        faults = list(_corrupted(lab))
+        for one in (lab, TotalLabeling(*faults[i % len(faults)])):
+            want = _outcome(_ref_classify, g, one)
+            assert _outcome(classify, g, one) == want, (g, one)
+            assert _outcome(magic_constant_of, g, one) == _outcome(_ref_magic_constant, g, one)
+            assert _outcome(check_total_labeling, g, one) == _outcome(_ref_check, g, one)
+            refusals = _ref_refusals(g, one)
+            for transform, refusal in refusals.items():
+                got = _outcome(transform, g, one)
+                assert (got if type(got) is tuple else None) == refusal, transform
+            b = getattr(want, "consecutive_index", None) or 1
+            try:
+                _ref_check(g, one)
+            except LabelingError as exc:
+                want_block = LabelingError, str(exc)
+            else:
+                want_block = _neighbor_block_by_adjacency(g, one, b)
+            assert _outcome(neighbor_block_holds, g, one, b) == want_block
+            kinds.update(re.sub(r"\d+", "N", r[1]) for r in (want, *refusals.values())
+                         if type(r) is tuple)
+            if type(want) is LabelingClassification:
+                kinds.add((want.magic_constant is not None, want.consecutive_index is not None))
+    assert kinds >= {"label N outside N..N", "label N used twice",
+                     "expected N vertex labels, got N", "expected N edge labels, got N",
+                     "dual requires an edge-magic labeling", "input labeling is not edge-magic",
+                     "input labeling is not consecutive edge-magic",
+                     "offset b=N does not single out a partite side",
+                     (False, False), (True, False), (True, True)}, kinds

@@ -283,6 +283,35 @@ def test_output_deterministic_and_sorted():
     assert report == again
 
 
+def test_reports_are_fully_sorted_with_distinct_vertex_vectors():
+    """A report sorts its labelings on their vertex labels alone, which is
+    the full (vertex labels, edge labels) order because no two kept
+    labelings share their vertex labels.  Checked on every offset of the
+    connected atlas graphs with at most 6 vertices, and every edge-magic
+    listing of those with at most 12 labels, both ``canonical_only``
+    values, under no limit and limits 1 and 2; each report is also built
+    again from its labelings in reverse, so the order cannot come from the
+    order the leaves arrive in."""
+    kept = 0
+    for g in [g for g in _connected_atlas(6) if g.edge_count]:
+        reports = [find_consecutive(SearchQuery(g, b, limit=limit, canonical_only=canonical))
+                   for b in range(g.vertex_count + 1)
+                   for canonical in (False, True) for limit in (None, 1, 2)]
+        if g.label_count <= 12:
+            reports += [find_edge_magic(SearchQuery(g, limit=limit, canonical_only=canonical))
+                        for canonical in (False, True) for limit in (None, 1, 2)]
+        for report in reports:
+            assert report.labelings == tuple(sorted(report.labelings))
+            vectors = {lab.vertex_labels for lab in report.labelings}
+            assert len(vectors) == len(report.labelings)
+            kept += len(vectors)
+            leaves = search_module._Leaves(g, None, None, False)
+            leaves.sols = [(lab.vertex_labels, lab.edge_labels)
+                           for lab in reversed(report.labelings)]
+            assert leaves.report(report.b).labelings == report.labelings
+    assert kept > 50_000
+
+
 # ---------------------------------------------------------------------------
 # automorphisms and orbit counting
 # ---------------------------------------------------------------------------
