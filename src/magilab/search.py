@@ -61,23 +61,23 @@ alone, where it is exact.  The checks rest only on that identity, the sum
 window and labels (and sums) being distinct, which is the definition
 itself, so they grade nothing.
 
-The consecutive engine also drops a branch as soon as a free label is dead.
-With the sums so far in [lo, hi], every final sum lies in
-[A, B] = [hi - |E| + 1, lo + |E| - 1].  A free label x is dead when no pool
-label y gives A <= x + y <= B, and that branch has no labeling below it:
-  - the pool holds exactly |V| labels, so x goes to some unplaced vertex;
-  - that vertex has an edge, whose other end gets some pool label y;
-  - the edge's sum x + y is one of the final sums, so it lies in [A, B].
-x is dead when x >= B (then y < 1) or x < A - max(pool) (then y would
-exceed the highest pool label).  Before the DFS starts, the same argument
-runs at the root for every lowest final sum L the k window allows, with
-the exact window [L, L + |E| - 1] and the exact pool, and it also asks
-that every sum in the window be the sum of two distinct pool labels.  When
-no L passes, the offset is absent and no DFS runs; that root check, not
-the DFS, refutes most absent offsets.  Like the other checks it uses only
-the definition.  It reads only the pool and the degrees, so the consecutive
-engine builds the placement plan only after the root check leaves the
-offset open: a refuted offset costs no plan.
+Before the DFS starts, the consecutive engine runs a root check for every
+lowest final sum L the k window allows.  A labeling whose lowest sum is L
+has its |E| sums fill [L, L + |E| - 1], so it passes two tests:
+  - the window test: each sum in the window is f(u) + f(v) on an edge, the
+    sum of two distinct pool labels;
+  - the partner test: every pool label x has a partner y != x in the pool
+    with x + y in the window.  The pool holds exactly |V| labels, so x sits
+    on some vertex; that vertex has an edge, the graph being connected with
+    an edge; the label y at its other end is another pool label, and x + y
+    is one of the sums.
+So no L that fails a test is the lowest sum of a labeling.  When no L
+passes, the offset is absent and no DFS runs; that root check, not the DFS,
+refutes most absent offsets.  The DFS does not run the partner test again
+as its sums narrow: that cut nodes but measured no faster.  Like the other
+checks it uses only the definition.  It reads only the pool and the
+degrees, so the consecutive engine builds the placement plan only after the
+root check leaves the offset open: a refuted offset costs no plan.
 
 Both magic engines break every automorphism of the graph and expand each
 labeling they reach into its orbit (Puget, "Breaking symmetries in all
@@ -556,7 +556,7 @@ def _root_lows(pool: list[int], e: int, lo: int, hi: int) -> int:
     A labeling whose final sums fill [L, L + |E| - 1] passes two tests.  The
     window test: every sum in the window is x + y for distinct pool labels.
     The partner test: every pool label x has some y != x in the pool with
-    x + y in the window.  ``_enumerate_consecutive`` has the proof.  ``sums``
+    x + y in the window.  The module docstring has the proof.  ``sums``
     is the set of the x + y, and ``near`` x's partner sums smeared down by
     |E| - 1, so bit L of it is set when one of them lies in [L, L + |E| - 1].
     """
@@ -653,7 +653,9 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     label c is unused.  Bit s of ``fsum`` is set while sum s is unused,
     allowed by some constant in the degree-sum window (or the pinned one),
     and within |E| - 1 of every sum so far; that last condition is applied
-    again after each placement.  A vertex whose first closed edge meets a
+    again after each placement that moves lo or hi (one that moves neither
+    leaves the free sums of the level above, which already passed the same
+    mask).  A vertex whose first closed edge meets a
     vertex labelled lu0 may then take exactly the labels
     ``free & (fsum >> lu0)``, visited lowest first; its other closed edges
     are checked one by one.
@@ -690,38 +692,16 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
     the root loop keeps only the labels for which |E| divides w and makes
     the same cut.
 
-    Dead-label check: every final sum lies in [A, B] = [nhi - span,
-    nlo + span], and every free label x will sit on an edge whose other end
-    holds a pool label, so x needs a pool partner y with A <= x + y <= B
-    (the module docstring has the proof).  The labels x >= B and
-    x < A - ``top_label``, the highest pool label, have none; they form one
-    mask, and a label for v that leaves a free label in it is dropped.  The
-    mask, and the span mask on ``fsum``, change only when a placement moves
-    nlo or nhi, so both are applied only then: otherwise the free labels one
-    level up, a superset, already passed the same mask.  A third such range,
-    the labels whose partners all fall in the edge block b+1..b+|E|, is one
-    label wide and only when the sums already span |E| - 1.  It is not
-    checked: on every tree with at most 11 vertices and every connected
-    atlas graph with at most 16 labels, that label was never free when the
-    other two ranges let the branch through.
-
     Root check: before the root loop, ``_root_lows`` keeps the lowest final
-    sums L that two tests leave, and when none is left the offset has no
-    labeling and the empty, exhausted report returns at once.  Take a
-    labeling at offset b with lowest sum L.  Its constant k lies in the
-    window, so L = k - b - |E| lies in [slo, shi - |E| + 1] (no sum exceeds
-    ``top``, the two highest pool labels), which is empty when the window
-    is.  Its sums fill [L, L + |E| - 1], and each is f(u) + f(v) on an
-    edge: two distinct pool labels (the window test).  The pool holds
-    exactly |V| labels, so every pool label x sits on some vertex; that
-    vertex has an edge, the graph being connected with an edge, and the
-    label y at its other end is another pool label, with x + y one of the
-    sums, in [L, L + |E| - 1] (the partner test).  So no L that fails a
-    test is the lowest sum of a labeling.  This is the dead-label check run
-    for every L at once, before any sum is fixed.  It either returns or
-    changes nothing, so at an offset it leaves open the DFS is the same.
-    It needs only the pool and the degrees, so it runs before the plan is
-    built, and a refuted offset costs no plan and no ``_Leaves``.
+    sums L that the window and partner tests leave (the module docstring has
+    the proof), and when none is left the offset has no labeling and the
+    empty, exhausted report returns at once.  A labeling's constant k lies
+    in the window, so its L = k - b - |E| lies in [slo, shi - |E| + 1] (no
+    sum exceeds ``top``, the two highest pool labels), which is empty when
+    the window is.  The check either returns or changes nothing, so at an
+    offset it leaves open the DFS is the same.  It needs only the pool and
+    the degrees, so it runs before the plan is built, and a refuted offset
+    costs no plan and no ``_Leaves``.
 
     These checks use only the degree-sum identity, that labels and sums are
     distinct and the sum window, never a theorem the search grades.
@@ -734,8 +714,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
         klo, khi = max(klo, magic_constant), min(khi, magic_constant)
 
     # sum s leaves edge label k - s in b+1..b+|E| for some k in klo..khi
-    top_label = pool[-1]
-    top = top_label + pool[-2]
+    top = pool[-1] + pool[-2]
     slo, shi = max(klo - b - e, 0), min(khi - b - 1, top)
     if not _root_lows(pool, e, slo, shi - e + 1):
         return SearchReport((), frozenset(), True, 0, b)
@@ -797,18 +776,11 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                     nhi = t
                 nfsum ^= 1 << t
             else:
-                nfree = free ^ low
                 if nlo != lo or nhi != hi:
                     # keep only the sums within span of both nlo and nhi (the
                     # mask is built shifted up by span, so no shift count goes
-                    # negative), then drop c if it leaves a dead free label
+                    # negative)
                     nfsum &= ((2 << (nlo + span2)) - (1 << nhi)) >> span
-                    a = nhi - span
-                    dead = -(1 << (nlo + span))  # partner below 1
-                    if a > top_label:
-                        dead |= (1 << (a - top_label)) - 1  # partner above the pool
-                    if nfree & dead:
-                        continue
                 nw = w + dw * c
                 if dw and not rest:  # the closing step: nw fixes L, the least final sum
                     least = nw // e
@@ -816,7 +788,7 @@ def _enumerate_consecutive(graph: Graph, b: int, magic_constant: Optional[int],
                         continue
                     nfsum &= ((2 << (least + span2)) - (1 << (least + span))) >> span
                 labels[v] = c
-                if not place(i + 1, nfree, nfsum, nlo, nhi, nw):
+                if not place(i + 1, free ^ low, nfsum, nlo, nhi, nw):
                     return False  # the search is over
         return True
 
@@ -1062,8 +1034,9 @@ def compute_automorphisms(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
     This lists the group the searches break: every r o t with r in R and t
     in T, the split Aut = R.T of the module docstring, each automorphism
-    once, read from the listings the leaves read (``_r_and_t``).  K0 gives the one empty map.  A disconnected graph raises
-    :class:`SearchError`, as the placement plan covers one component.
+    once, read from the listings the leaves read (``_r_and_t``).  K0 gives
+    the one empty map.  A disconnected graph raises :class:`SearchError`,
+    as the placement plan covers one component.
     """
     if not is_connected(graph):
         raise SearchError("compute_automorphisms requires a connected graph")
